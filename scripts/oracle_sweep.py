@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Compare the orbit-count formula against brute-force enumeration on a grid.
 
-Enumerates, for each cell (D, m, n), every integer cube with bounded entries
-whose invariants match, reduces to canonical orbit representatives, and
-compares the stable count against B(D, m, n).  Slow by design; use small
-grids.  Prints each mismatch and a one-line summary; exit 1 on mismatch.
+Enumerates, for each cell (D, m, n), the c = 0 slice of integer cubes with
+bounded entries whose invariants match, counts the connected components of
+their move graph by union-find (orbit_count_oracle), and compares the stable
+count against B(D, m, n).  Slow by design; use small grids.  Prints each
+mismatch and a one-line summary; exit 1 on mismatch.
 """
 
 from __future__ import annotations

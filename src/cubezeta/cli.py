@@ -268,7 +268,7 @@ def _cmd_orbits(config: RunConfig) -> int:
         oracle = orbit_count_oracle(
             D, m, n,
             entry_bound=params.get("entry_bound"),
-            slack=params.get("slack") or 5,
+            slack=5 if params.get("slack") is None else params["slack"],
         )
         agree = oracle.count == formula
         lines += [

@@ -14,7 +14,11 @@ enlarged).  Enumeration works on the c = 0 slice: every orbit with m, n != 0
 has a representative there, and the slice-preserving moves (the two
 lower-unipotent shears, the upper shear in the third factor, and global
 negation) connect exactly the cubes that the full group connects inside the
-slice, so components of the move graph are orbit traces.
+slice, so components of the move graph are orbit traces.  Each cube is one
+packed integer key and each move is integer arithmetic on keys.  One
+union-find pass counts the components meeting the inner box twice: with the
+edges inside the box of radius entry_bound + slack, and again after the
+deferred edges touching the outer shell (radius entry_bound + slack + 1).
 """
 
 from __future__ import annotations
@@ -345,19 +349,45 @@ def _interval(c0: int, step: int, bound: int):
     return (-(-lo // step), hi // step)  # ceil, floor
 
 
-def _slice_enumerate(D: int, m: int, n: int, R: int) -> list[tuple[int, ...]]:
+# Cube keys: entry i of (a, b, c, d, e, f, g, h) is the digit value + W/2 at
+# bit offset i * bits, with W = 2**bits > 4R in a box of radius R.  A move
+# adds at most R to an entry, so a neighbour's digits stay in [0, W) and its
+# key aliases no other cube's.  The key is affine in the entries, so the seven
+# slice-preserving moves are integer arithmetic on keys: k = +-1 of
+#   first-factor lower shear    (e, f, g, h) += k * (a, b, c, d)
+#   second-factor lower shear   (b, d, f, h) += k * (a, c, e, g)
+#   third-factor upper shear    (a, b, e, f) += k * (c, d, g, h)
+# (c = 0 stays 0), and negation, key -> 2C - key with C the zero cube's key.
+# Each shear edge between enumerated cubes is the k = +1 move of one end.
+
+
+def _key_bits(R: int) -> int:
+    """Bits per entry of the keys of cubes with entries bounded by R."""
+    return (4 * R).bit_length()
+
+
+def _digit_units(bits: int, positions) -> int:
+    """Sum of the place values 2**(bits * i) of the given entry positions."""
+    return sum(1 << (bits * i) for i in positions)
+
+
+def _slice_enumerate(D: int, m: int, n: int, R: int) -> tuple[list[int], list[int]]:
     """All cubes with c = 0, |entries| <= R, |m| = m, |n| = n, disc = D.
 
-    Walks the Diophantine structure of the slice: a*d = +-m, a*g = +-n,
-    x = b*g - d*e (the middle coefficient of the first form) runs over the
-    congruence class x^2 = D (mod 4m), (b, e) live on a Bezout line for
-    given x and h, and f is determined up to exact divisibility.
+    Returns the cubes' keys (packed with ``_key_bits(R)`` bits per entry) and,
+    in the same order, their largest absolute entries.  Each cube appears
+    once.  Walks the Diophantine structure of the slice: a*d = +-m,
+    a*g = +-n, x = b*g - d*e (the middle coefficient of the first form) runs
+    over the congruence class x^2 = D (mod 4m), (b, e) live on a Bezout line
+    for given x and h, and f is determined up to exact divisibility.
     """
-    out = []
+    keys: list[int] = []
+    maxabs: list[int] = []
     fourm = 4 * m
     roots = [r for r in range(fourm) if (r * r - D) % fourm == 0]
     if not roots:
-        return out
+        return keys, maxabs
+    bits = _key_bits(R)
     for aa in divisors(math.gcd(m, n)):
         dd, gg = m // aa, n // aa
         if aa > R or dd > R or gg > R:
@@ -365,11 +395,11 @@ def _slice_enumerate(D: int, m: int, n: int, R: int) -> list[tuple[int, ...]]:
         for a_s in (aa, -aa):
             for d_s in (dd, -dd):
                 for g_s in (gg, -gg):
-                    _slice_branch(out, D, m, a_s, d_s, g_s, roots, R)
-    return out
+                    _slice_branch(keys, maxabs, D, m, a_s, d_s, g_s, roots, R, bits)
+    return keys, maxabs
 
 
-def _slice_branch(out, D, m, a_s, d_s, g_s, roots, R):
+def _slice_branch(keys, maxabs, D, m, a_s, d_s, g_s, roots, R, bits):
     fourm = 4 * m
     x_max = R * (abs(a_s) + abs(d_s) + abs(g_s))
     gamma = math.gcd(d_s, g_s)
@@ -378,6 +408,10 @@ def _slice_branch(out, D, m, a_s, d_s, g_s, roots, R):
     d1, g1 = d_s // gamma, g_s // gamma
     four_ad = 4 * a_s * d_s
     abs_g = abs(g_s)
+    adg_max = max(abs(a_s), abs(d_s), abs_g)
+    place_b, place_e, place_f, place_h = (1 << (bits * i) for i in (1, 4, 5, 7))
+    zero_key = _digit_units(bits, range(8)) << (bits - 1)
+    branch_key = zero_key + a_s + (d_s << (3 * bits)) + (g_s << (6 * bits))
     for r in roots:
         # ribbon of x-values in the congruence class of r
         x = r - fourm * ((r + x_max) // fourm)
@@ -403,13 +437,17 @@ def _slice_branch(out, D, m, a_s, d_s, g_s, roots, R):
                         if wnd is not None:
                             lo = max(lo, wnd[0])
                             hi = min(hi, wnd[1])
+                    key_h = branch_key + h * place_h
+                    max_h = max(adg_max, abs(h))
                     for t in range(lo, hi + 1):
-                        num = (e0 + t * g1) * h - s_val
+                        e = e0 + t * g1
+                        num = e * h - s_val
                         if num % g_s:
                             continue
-                        out.append(
-                            (a_s, b0 + t * d1, 0, d_s, e0 + t * g1, num // g_s, g_s, h)
-                        )
+                        b = b0 + t * d1
+                        f = num // g_s
+                        keys.append(key_h + b * place_b + e * place_e + f * place_f)
+                        maxabs.append(max(max_h, abs(b), abs(e), abs(f)))
             x += fourm
 
 
@@ -428,51 +466,11 @@ def _bezout(p: int, q: int, gamma: int) -> tuple[int, int]:
     return -old_u, -old_v
 
 
-_SLICE_MOVES_DOC = """Slice-preserving generator moves (7 of them): the two
-lower-unipotent shears with k = +-1, the third-factor upper shear with
-k = +-1, and global negation (-identity in the third factor)."""
-
-
-def _neighbors(cube: tuple[int, ...]):
-    a, b, _, d, e, f, g, h = cube
-    for k in (1, -1):
-        yield (a, b, 0, d, e + k * a, f + k * b, g, h + k * d)
-        yield (a, b + k * a, 0, d, e, f + k * e, g, h + k * g)
-        yield (a, b + k * d, 0, d, e + k * g, f + k * h, g, h)
-    yield (-a, -b, 0, -d, -e, -f, -g, -h)
-
-
-class UnionFind:
-    """Union-find over integer indices with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-
-
-def _count_at(n_cubes: int, edges, maxabs, outer: int, inner: int) -> int:
-    uf = UnionFind(n_cubes)
-    for lvl, i, j in edges:
-        if lvl <= outer:
-            uf.union(i, j)
-    return len({uf.find(i) for i in range(n_cubes) if maxabs[i] <= inner})
+def _find(parent: list[int], i: int) -> int:
+    """Root of i in the union-find forest, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = i = parent[parent[i]]
+    return i
 
 
 def orbit_count_oracle(
@@ -481,26 +479,54 @@ def orbit_count_oracle(
     """Count orbits of cubes with discriminant D and |invariants| (|m|, |n|).
 
     All four sign classes of (m, n) are counted together.  Enumerates the
-    c = 0 slice inside a box of radius entry_bound + slack + 1, applies
-    union-find under the slice-preserving moves, and counts the components
-    meeting the inner box of radius entry_bound.  The stability flag records
-    that enlarging the slack by one does not change the count.
+    c = 0 slice inside a box of radius R + slack + 1 (R = entry_bound) and
+    counts, in one union-find pass, the components meeting the inner box of
+    radius R: first under the move edges between cubes of the box of radius
+    R + slack, then again after the deferred edges that touch the outer shell
+    are added.  The count is stable when the two agree, i.e. when enlarging
+    the slack by one does not change it.
     """
     m, n = abs(m), abs(n)
     if m == 0 or n == 0:
         raise DomainError("oracle requires nonzero m and n")
+    if (entry_bound is not None and entry_bound < 0) or slack < 0:
+        raise DomainError("oracle entry_bound and slack must be nonnegative")
     R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
-    cubes = sorted(set(_slice_enumerate(D, m, n, R + slack + 1)))
-    index_of = {cube: i for i, cube in enumerate(cubes)}
-    maxabs = [max(abs(v) for v in cube) for cube in cubes]
-    edges = []
-    for i, cube in enumerate(cubes):
-        mi = maxabs[i]
-        for nb in _neighbors(cube):
+    core = R + slack
+    keys, maxabs = _slice_enumerate(D, m, n, core + 1)
+    bits = _key_bits(core + 1)
+    half, digit = 1 << (bits - 1), (1 << bits) - 1
+    # the entries that the k = +1 shears add: (a, b, c, d), (a, c, e, g), (c, d, g, h)
+    front, left, right = (
+        _digit_units(bits, block) for block in ((0, 1, 2, 3), (0, 2, 4, 6), (2, 3, 6, 7))
+    )
+    front_mask, left_mask, right_mask = front * digit, left * digit, right * digit
+    front_half, left_half, right_half = front * half, left * half, right * half
+    twice_zero = _digit_units(bits, range(8)) << bits  # 2C
+
+    index_of = {key: i for i, key in enumerate(keys)}
+    parent = list(range(len(keys)))
+    deferred = []
+    for i, key in enumerate(keys):
+        in_core = maxabs[i] <= core
+        # (key & mask) - half is the signed value of a block of entries; the
+        # shift moves it onto the entries that the shear adds it to
+        for nb in (
+            key + (((key & front_mask) - front_half) << (4 * bits)),
+            key + (((key & left_mask) - left_half) << bits),
+            key + (((key & right_mask) - right_half) >> (2 * bits)),
+            twice_zero - key,
+        ):
             j = index_of.get(nb)
-            if j is not None and j > i:
-                mj = maxabs[j]
-                edges.append((mi if mi >= mj else mj, i, j))
-    count = _count_at(len(cubes), edges, maxabs, R + slack, R)
-    count_wider = _count_at(len(cubes), edges, maxabs, R + slack + 1, R)
-    return OracleCount(count, count == count_wider, R, slack, len(cubes))
+            if j is None:
+                continue
+            if in_core and maxabs[j] <= core:
+                parent[_find(parent, i)] = _find(parent, j)
+            else:
+                deferred.append((i, j))
+    inner = [i for i, r in enumerate(maxabs) if r <= R]
+    count = len({_find(parent, i) for i in inner})
+    for i, j in deferred:
+        parent[_find(parent, i)] = _find(parent, j)
+    count_wider = len({_find(parent, i) for i in inner})
+    return OracleCount(count, count == count_wider, R, slack, len(keys))

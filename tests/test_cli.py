@@ -42,6 +42,21 @@ def test_orbits_with_oracle(capsys):
     assert out.splitlines() == ["B = 4", "oracle = 4", "stable = true", "agree = true"]
 
 
+def test_orbits_oracle_honours_slack_zero(capsys):
+    code, out, _ = run(capsys, "orbits", "--D", "9", "--m", "1", "--n", "1", "--oracle",
+                       "--entry-bound", "1", "--slack", "0")
+    assert code == 1
+    assert out.splitlines() == ["B = 4", "oracle = 24", "stable = false", "agree = false"]
+
+
+def test_orbits_oracle_negative_box_exits_2(capsys):
+    for bound, slack in (("-3", "-2"), ("-1", "5"), ("2", "-1")):
+        code, out, err = run(capsys, "orbits", "--D", "9", "--m", "1", "--n", "1", "--oracle",
+                             "--entry-bound", bound, "--slack", slack)
+        assert code == 2 and out == ""
+        assert "nonnegative" in err
+
+
 def test_pairs_listing(capsys):
     code, out, _ = run(capsys, "pairs", "--D", "5", "--m", "1", "--n", "1")
     assert code == 0

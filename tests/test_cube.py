@@ -11,12 +11,16 @@ from cubezeta.cube import (
     Cube,
     DomainError,
     GroupElement,
+    OracleCount,
+    _key_bits,
+    _slice_enumerate,
     act,
     act_word,
     cube_from_json,
     cube_from_text,
     cube_to_json,
     cube_to_text,
+    default_entry_bound,
     discriminant,
     form1,
     form2,
@@ -167,14 +171,89 @@ def literal_slice_scan(D, m, n, R):
     return found
 
 
-def test_slice_enumeration_is_complete_in_small_boxes():
-    from cubezeta.cube import _slice_enumerate
+def decode_key(key, bits):
+    """The 8 entries of a packed cube key (entry i is value + 2**(bits-1) at bit i*bits)."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    return tuple(((key >> (bits * i)) & mask) - half for i in range(8))
 
+
+def test_slice_enumeration_is_complete_in_small_boxes():
+    # a neighbour's entries reach 2R, so digits need 2**bits > 4R not to alias
+    assert all(1 << _key_bits(R) > 4 * R for R in range(1, 300))
     for D, m, n, R in ((5, 1, 1, 3), (45, 3, 3, 4), (-4, 1, 1, 3), (12, 2, 1, 3)):
-        produced = {c for c in _slice_enumerate(D, m, n, R)
-                    if max(abs(v) for v in c) <= R}
+        keys, maxabs = _slice_enumerate(D, m, n, R)
+        produced = [decode_key(key, _key_bits(R)) for key in keys]
+        assert maxabs == [max(abs(v) for v in c) for c in produced]
+        assert len(set(produced)) == len(produced), (D, m, n, R)
         literal = literal_slice_scan(D, m, n, R)
-        assert produced == literal, (D, m, n, R)
+        assert set(produced) == literal, (D, m, n, R)
+
+
+def tuple_graph_oracle(D, m, n, entry_bound, slack):
+    """Reference oracle: 8-tuple cubes, a levelled edge list, one union-find per level.
+
+    The move graph of the seven slice-preserving moves, built on decoded
+    tuples with explicit neighbour tuples; the count at radius R + slack and
+    the count with the outer shell's edges come from two separate union-find
+    passes over the whole edge list.
+    """
+    R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
+    keys, _ = _slice_enumerate(D, m, n, R + slack + 1)
+    # the set makes cubes_enumerated differ from the oracle's if a cube repeats
+    cubes = sorted({decode_key(key, _key_bits(R + slack + 1)) for key in keys})
+    index_of = {cube: i for i, cube in enumerate(cubes)}
+    maxabs = [max(abs(v) for v in cube) for cube in cubes]
+    edges = []
+    for i, (a, b, _, d, e, f, g, h) in enumerate(cubes):
+        neighbours = [(-a, -b, 0, -d, -e, -f, -g, -h)]
+        for k in (1, -1):
+            neighbours += [
+                (a, b, 0, d, e + k * a, f + k * b, g, h + k * d),
+                (a, b + k * a, 0, d, e, f + k * e, g, h + k * g),
+                (a, b + k * d, 0, d, e + k * g, f + k * h, g, h),
+            ]
+        for nb in neighbours:
+            j = index_of.get(nb)
+            if j is not None and j > i:
+                edges.append((max(maxabs[i], maxabs[j]), i, j))
+
+    def count_at(outer):
+        parent = list(range(len(cubes)))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        for level, i, j in edges:
+            if level <= outer:
+                parent[find(i)] = find(j)
+        return len({find(i) for i in range(len(cubes)) if maxabs[i] <= R})
+
+    count, wider = count_at(R + slack), count_at(R + slack + 1)
+    return OracleCount(count, count == wider, R, slack, len(cubes))
+
+
+def test_oracle_matches_tuple_graph_reference():
+    unstable = set()
+    cells = ((-15, 1, 1), (-15, 1, 2), (-4, 1, 1), (-4, 2, 2), (5, 1, 2), (5, 2, 2),
+             (9, 1, 1), (12, 1, 2), (12, 2, 2))
+    for D, m, n in cells:
+        for entry_bound in (0, 1, 2, 3, None):
+            for slack in (0, 1, 5):
+                got = orbit_count_oracle(D, m, n, entry_bound, slack)
+                want = tuple_graph_oracle(D, m, n, entry_bound, slack)
+                assert got == want, (D, m, n, entry_bound, slack)
+                if not got.stable:
+                    unstable.add((D, m, n, entry_bound, slack))
+    # the deferred outer-shell edges change the count on these cells
+    assert {(-15, 1, 1, 2, 1), (9, 1, 1, 1, 0)} <= unstable
+
+
+def test_oracle_rejects_negative_box():
+    for entry_bound, slack in ((-1, 5), (2, -1), (-3, -2)):
+        with pytest.raises(DomainError):
+            orbit_count_oracle(9, 1, 1, entry_bound=entry_bound, slack=slack)
 
 
 def test_oracle_matches_formula_on_sample_cells():
