@@ -26,6 +26,14 @@ def main() -> int:
     parser.add_argument("--entry-bound", type=int, default=None)
     parser.add_argument("--slack", type=int, default=5)
     args = parser.parse_args()
+    if args.Dmax < 0:
+        parser.error("--Dmax must be nonnegative")
+    if args.Mmax < 1:
+        parser.error("--Mmax must be at least 1")
+    if args.entry_bound is not None and args.entry_bound < 0:
+        parser.error("--entry-bound must be nonnegative")
+    if args.slack < 0:
+        parser.error("--slack must be nonnegative")
 
     t0 = time.perf_counter()
     cells = mismatches = unstable = 0

@@ -88,7 +88,6 @@ class RunConfig:
 
     subcommand: str
     params: dict = field(default_factory=dict)
-    fmt: str = "text"  # "text" | "csv" | "json"
     threads: int = 1
     output: str | None = None
 
@@ -485,8 +484,6 @@ _HANDLERS = {
     "moduli": _cmd_moduli,
 }
 
-_FORMATS = {"table": "csv", "verify": "json", "moduli": "json"}
-
 
 def run(config: RunConfig) -> int:
     """Execute one resolved invocation; returns the process exit code."""
@@ -597,7 +594,6 @@ def config_from_args(argv=None) -> RunConfig:
     return RunConfig(
         subcommand=subcommand,
         params=ns,
-        fmt=_FORMATS.get(subcommand, "text"),
         threads=threads,
         output=output,
     )

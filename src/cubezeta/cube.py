@@ -14,10 +14,13 @@ enlarged).  Enumeration works on the c = 0 slice: every orbit with m, n != 0
 has a representative there, and the slice-preserving moves (the two
 lower-unipotent shears, the upper shear in the third factor, and global
 negation) connect exactly the cubes that the full group connects inside the
-slice, so components of the move graph are orbit traces.  Each cube is one
-packed integer key and each move is integer arithmetic on keys.  One
-union-find pass counts the components meeting the inner box twice: with the
-edges inside the box of radius entry_bound + slack, and again after the
+slice, so components of the move graph are orbit traces.  The shears keep a
+and commute with negation, which swaps the a > 0 and a < 0 halves and keeps
+the largest absolute entry; so each orbit trace is C and -C for exactly one
+shear component C of the a > 0 half, and only that half is enumerated.  Each
+cube is one packed integer key and each shear is integer arithmetic on keys.
+One union-find pass counts the components meeting the inner box twice: with
+the edges inside the box of radius entry_bound + slack, and again after the
 deferred edges touching the outer shell (radius entry_bound + slack + 1).
 """
 
@@ -352,13 +355,15 @@ def _interval(c0: int, step: int, bound: int):
 # Cube keys: entry i of (a, b, c, d, e, f, g, h) is the digit value + W/2 at
 # bit offset i * bits, with W = 2**bits > 4R in a box of radius R.  A move
 # adds at most R to an entry, so a neighbour's digits stay in [0, W) and its
-# key aliases no other cube's.  The key is affine in the entries, so the seven
-# slice-preserving moves are integer arithmetic on keys: k = +-1 of
+# key aliases no other cube's.  The key is affine in the entries, so the
+# slice-preserving shears are integer arithmetic on keys: k = +-1 of
 #   first-factor lower shear    (e, f, g, h) += k * (a, b, c, d)
 #   second-factor lower shear   (b, d, f, h) += k * (a, c, e, g)
 #   third-factor upper shear    (a, b, e, f) += k * (c, d, g, h)
-# (c = 0 stays 0), and negation, key -> 2C - key with C the zero cube's key.
-# Each shear edge between enumerated cubes is the k = +1 move of one end.
+# (c = 0 stays 0).  Each shear edge between enumerated cubes is the k = +1
+# move of one end.  The seventh move, negation, pairs the a > 0 half of the
+# slice with the a < 0 half; only the a > 0 half is enumerated, so it is not
+# an edge.
 
 
 def _key_bits(R: int) -> int:
@@ -372,30 +377,31 @@ def _digit_units(bits: int, positions) -> int:
 
 
 def _slice_enumerate(D: int, m: int, n: int, R: int) -> tuple[list[int], list[int]]:
-    """All cubes with c = 0, |entries| <= R, |m| = m, |n| = n, disc = D.
+    """Cubes with c = 0, a > 0, |entries| <= R, |m| = m, |n| = n, disc = D.
 
     Returns the cubes' keys (packed with ``_key_bits(R)`` bits per entry) and,
     in the same order, their largest absolute entries.  Each cube appears
-    once.  Walks the Diophantine structure of the slice: a*d = +-m,
-    a*g = +-n, x = b*g - d*e (the middle coefficient of the first form) runs
-    over the congruence class x^2 = D (mod 4m), (b, e) live on a Bezout line
-    for given x and h, and f is determined up to exact divisibility.
+    once; negating them gives the a < 0 half.  Walks the Diophantine
+    structure of the slice: a*d = +-m, a*g = +-n, x = b*g - d*e (the middle
+    coefficient of the first form) runs over the congruence class
+    x^2 = D (mod 4m), (b, e) live on a Bezout line for given x and h, and f
+    is determined up to exact divisibility.  The slice is empty unless D is
+    also a square mod 4n, the second form having leading coefficient a*g.
     """
     keys: list[int] = []
     maxabs: list[int] = []
-    fourm = 4 * m
+    fourm, fourn = 4 * m, 4 * n
     roots = [r for r in range(fourm) if (r * r - D) % fourm == 0]
-    if not roots:
+    if not roots or all((r * r - D) % fourn for r in range(fourn)):
         return keys, maxabs
     bits = _key_bits(R)
     for aa in divisors(math.gcd(m, n)):
         dd, gg = m // aa, n // aa
         if aa > R or dd > R or gg > R:
             continue
-        for a_s in (aa, -aa):
-            for d_s in (dd, -dd):
-                for g_s in (gg, -gg):
-                    _slice_branch(keys, maxabs, D, m, a_s, d_s, g_s, roots, R, bits)
+        for d_s in (dd, -dd):
+            for g_s in (gg, -gg):
+                _slice_branch(keys, maxabs, D, m, aa, d_s, g_s, roots, R, bits)
     return keys, maxabs
 
 
@@ -479,12 +485,15 @@ def orbit_count_oracle(
     """Count orbits of cubes with discriminant D and |invariants| (|m|, |n|).
 
     All four sign classes of (m, n) are counted together.  Enumerates the
-    c = 0 slice inside a box of radius R + slack + 1 (R = entry_bound) and
-    counts, in one union-find pass, the components meeting the inner box of
-    radius R: first under the move edges between cubes of the box of radius
-    R + slack, then again after the deferred edges that touch the outer shell
-    are added.  The count is stable when the two agree, i.e. when enlarging
-    the slack by one does not change it.
+    a > 0 half of the c = 0 slice inside a box of radius R + slack + 1
+    (R = entry_bound) and counts, in one union-find pass, the components
+    meeting the inner box of radius R: first under the shear edges between
+    cubes of the box of radius R + slack, then again after the deferred edges
+    that touch the outer shell are added.  Negation pairs each such component
+    with one of the a < 0 half into one orbit trace, so these are the orbit
+    counts.  The count is stable when the two agree, i.e. when enlarging the
+    slack by one does not change it.  ``cubes_enumerated`` counts the whole
+    slice, both halves.
     """
     m, n = abs(m), abs(n)
     if m == 0 or n == 0:
@@ -502,7 +511,6 @@ def orbit_count_oracle(
     )
     front_mask, left_mask, right_mask = front * digit, left * digit, right * digit
     front_half, left_half, right_half = front * half, left * half, right * half
-    twice_zero = _digit_units(bits, range(8)) << bits  # 2C
 
     index_of = {key: i for i, key in enumerate(keys)}
     parent = list(range(len(keys)))
@@ -515,7 +523,6 @@ def orbit_count_oracle(
             key + (((key & front_mask) - front_half) << (4 * bits)),
             key + (((key & left_mask) - left_half) << bits),
             key + (((key & right_mask) - right_half) >> (2 * bits)),
-            twice_zero - key,
         ):
             j = index_of.get(nb)
             if j is None:
@@ -529,4 +536,4 @@ def orbit_count_oracle(
     for i, j in deferred:
         parent[_find(parent, i)] = _find(parent, j)
     count_wider = len({_find(parent, i) for i in inner})
-    return OracleCount(count, count == count_wider, R, slack, len(keys))
+    return OracleCount(count, count == count_wider, R, slack, 2 * len(keys))

@@ -131,26 +131,12 @@ class TriSeries:
     def get(self, l: int, k: int, t: int) -> PolyCoeff:
         return self.coeffs[l][k][t]
 
-    def set(self, l: int, k: int, t: int, value: PolyCoeff) -> None:
-        self.coeffs[l][k][t] = p_trim(value)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TriSeries)
             and self.K == other.K
             and self.coeffs == other.coeffs
         )
-
-
-def series_add(A: TriSeries, B: TriSeries) -> TriSeries:
-    if A.K != B.K:
-        raise DomainError("series truncation orders differ")
-    out = TriSeries.zero(A.K)
-    for l in range(A.K + 1):
-        for k in range(A.K + 1):
-            for t in range(A.K + 1):
-                out.coeffs[l][k][t] = p_add(A.coeffs[l][k][t], B.coeffs[l][k][t])
-    return out
 
 
 def series_mul(A: TriSeries, B: TriSeries) -> TriSeries:
@@ -274,11 +260,6 @@ def a2_poly(k: int, l: int) -> PolyCoeff:
         return P_ZERO
     mn = min(k, l)
     return p_monomial(1, mn // 2) if mn % 2 == 0 else P_ZERO
-
-
-def f_a2_series(K: int) -> list:
-    """Grid of rank-2 coefficients: entry [k][l] = a2_poly(k, l)."""
-    return [[a2_poly(k, l) for l in range(K + 1)] for k in range(K + 1)]
 
 
 def f_a3_convolution(K: int) -> TriSeries:

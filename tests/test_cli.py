@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import cubezeta
 from cubezeta.cli import main
 from cubezeta.orbits import B
 
@@ -55,6 +60,23 @@ def test_orbits_oracle_negative_box_exits_2(capsys):
                              "--entry-bound", bound, "--slack", slack)
         assert code == 2 and out == ""
         assert "nonnegative" in err
+
+
+def test_oracle_sweep_rejects_bad_ranges_with_exit_2():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "oracle_sweep.py"
+    src = str(Path(cubezeta.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for flag, value in (("--slack", "-1"), ("--entry-bound", "-2"), ("--Dmax", "-3"),
+                        ("--Mmax", "0")):
+        proc = subprocess.run([sys.executable, str(script), flag, value], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == "", flag
+        assert f"error: {flag} must be" in proc.stderr, flag
+    proc = subprocess.run([sys.executable, str(script), "--Dmax", "5", "--Mmax", "1"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("5 cells, 0 mismatches, 0 unstable, ")
 
 
 def test_pairs_listing(capsys):

@@ -180,27 +180,37 @@ def decode_key(key, bits):
 def test_slice_enumeration_is_complete_in_small_boxes():
     # a neighbour's entries reach 2R, so digits need 2**bits > 4R not to alias
     assert all(1 << _key_bits(R) > 4 * R for R in range(1, 300))
-    for D, m, n, R in ((5, 1, 1, 3), (45, 3, 3, 4), (-4, 1, 1, 3), (12, 2, 1, 3)):
+    boxes = ((5, 1, 1, 3), (45, 3, 3, 4), (-4, 1, 1, 3), (12, 2, 1, 3), (5, 1, 2, 3))
+    for D, m, n, R in boxes:
         keys, maxabs = _slice_enumerate(D, m, n, R)
         produced = [decode_key(key, _key_bits(R)) for key in keys]
         assert maxabs == [max(abs(v) for v in c) for c in produced]
         assert len(set(produced)) == len(produced), (D, m, n, R)
         literal = literal_slice_scan(D, m, n, R)
-        assert set(produced) == literal, (D, m, n, R)
+        # negation pairs the a > 0 half, which alone is enumerated, with the rest
+        assert literal == {tuple(-v for v in c) for c in literal}, (D, m, n, R)
+        assert set(produced) == {c for c in literal if c[0] > 0}, (D, m, n, R)
+    # the last box is empty: 5 is a square mod 4m = 4 but not mod 4n = 8, and
+    # the second form has leading coefficient a*g = +-n and discriminant D
+    assert literal_slice_scan(5, 1, 2, 3) == set()
+    result = orbit_count_oracle(5, 1, 2, entry_bound=3)
+    assert (result.count, result.cubes_enumerated) == (0, 0)
 
 
 def tuple_graph_oracle(D, m, n, entry_bound, slack):
     """Reference oracle: 8-tuple cubes, a levelled edge list, one union-find per level.
 
-    The move graph of the seven slice-preserving moves, built on decoded
-    tuples with explicit neighbour tuples; the count at radius R + slack and
-    the count with the outer shell's edges come from two separate union-find
+    The move graph of the seven slice-preserving moves on the whole slice
+    (the enumerated a > 0 half and its negation), built on decoded tuples
+    with explicit neighbour tuples; the count at radius R + slack and the
+    count with the outer shell's edges come from two separate union-find
     passes over the whole edge list.
     """
     R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
     keys, _ = _slice_enumerate(D, m, n, R + slack + 1)
+    half = [decode_key(key, _key_bits(R + slack + 1)) for key in keys]
     # the set makes cubes_enumerated differ from the oracle's if a cube repeats
-    cubes = sorted({decode_key(key, _key_bits(R + slack + 1)) for key in keys})
+    cubes = sorted(set(half) | {tuple(-v for v in c) for c in half})
     index_of = {cube: i for i, cube in enumerate(cubes)}
     maxabs = [max(abs(v) for v in cube) for cube in cubes]
     edges = []
