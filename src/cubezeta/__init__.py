@@ -74,12 +74,14 @@ from .quadring import (
     QuadraticRing,
     classes_with_norm,
     fiber_count,
+    fiber_sums,
     form_from_class,
     ideal_class_pairs,
     pair_fiber,
     pair_from_cube,
     ring_ideal_from_form,
     verify_thm13,
+    verify_thm13_scan,
 )
 from .wmds import a_coeff, a_coeff3, a_pp, tilde_a
 

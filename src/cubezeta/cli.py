@@ -12,7 +12,8 @@ Subcommands
 * ``ppart`` -- the trivariate prime-part coefficient polynomials (or their
   values at a chosen p).
 * ``verify`` -- one of the named identity checks over its default or given
-  range, emitting a schema-versioned JSON report.
+  range, emitting a schema-versioned JSON report; ``verify thm13`` with all
+  of --D, --a1 and --a2 (and no --Dmax or --amax) checks one cell instead.
 * ``table B|a3`` -- CSV tables over a (D, m, n) box.
 * ``zeta`` -- floating truncation of the three-variable Dirichlet sum.
 * ``moduli`` -- the oriented ideal-class pairs of one cell as JSON lines,
@@ -20,7 +21,8 @@ Subcommands
 
 Exit codes: 0 when every assertion passed (including "pass_with_findings"
 verification reports, whose defects are expected and documented), 1 when a
-verification found a real mismatch, 2 on usage errors.
+verification found a real mismatch, 2 on usage errors, among them a verify
+range flag below its least value.
 
 The env var CUBEZETA_THREADS (or --threads) sets the worker-process count
 for range subcommands; results are gathered in submission order, so output
@@ -57,14 +59,7 @@ from .identities import (
 )
 from .orbits import B, congruence_pairs, cube_from_pair
 from .ppart import f_a3_expand, p_eval, p_format, specialization_check, thm44_check
-from .quadring import (
-    IdealClassPair,
-    classes_with_norm,
-    fiber_count,
-    ideal_class_pairs,
-    pair_fiber,
-    verify_thm13,
-)
+from .quadring import ideal_class_pairs, pair_fiber, verify_thm13, verify_thm13_scan
 from .wmds import a_coeff3
 
 SCHEMA = 1
@@ -80,6 +75,11 @@ _VERIFY_DEFAULTS = {
     "thm13": {"Dmax": 500, "amax": 30},
     "siegel": {"Dmax": 200, "T": 12},
 }
+
+# the least meaningful value of each verify range flag
+_RANGE_MINIMA = {"Dmax": 1, "M": 1, "kmax": 0, "amax": 1, "T": 1}
+
+_CELL_FLAGS = ("D", "a1", "a2")
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,22 @@ class UsageError(Exception):
 
 def _discriminants(Dmax: int) -> list:
     """Nonzero D = 0, 1 mod 4 with |D| <= Dmax, ascending."""
-    if Dmax < 0:
-        raise UsageError("Dmax must be nonnegative")
     return [D for D in range(-Dmax, Dmax + 1) if D and D % 4 in (0, 1)]
 
 
+def _odd_integers(Dmax: int) -> list:
+    """Odd D with |D| <= Dmax, ascending."""
+    return [D for D in range(-Dmax, Dmax + 1) if D % 2]
+
+
 def _map_ordered(fn, items, threads: int) -> list:
-    """fn over items, in order; a process pool when threads > 1."""
+    """fn(*item) over items, in order; a process pool when threads > 1."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [fn(*item) for item in items]
     chunk = max(1, len(items) // (threads * 8))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+        return list(pool.map(fn, *zip(*items), chunksize=chunk))
 
 
 def _emit(lines: list, output: str | None) -> None:
@@ -139,8 +142,7 @@ def _require(params: dict, *names: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _row_chunk_B(args) -> list:
-    D, Mmax = args
+def _row_chunk_B(D: int, Mmax: int) -> list:
     return [
         f"{D},{m},{n},{B(D, m, n)}"
         for m in range(1, Mmax + 1)
@@ -148,8 +150,7 @@ def _row_chunk_B(args) -> list:
     ]
 
 
-def _row_chunk_a3(args) -> list:
-    D, Mmax = args
+def _row_chunk_a3(D: int, Mmax: int) -> list:
     chis = {m: chi(D, hat(m, D)) for m in range(1, Mmax + 1)}
     return [
         f"{D},{m},{n},{a_coeff3(D, m, n)},{chis[m]},{chis[n]}"
@@ -158,73 +159,21 @@ def _row_chunk_a3(args) -> list:
     ]
 
 
-def _run_prop21(args) -> IdentityReport:
-    return verify_prop21(*args)
+def _siegel_cells(Dmax: int) -> list:
+    """(d, p) for each discriminant |d| <= Dmax and p in {2, 3, 5} or p | d."""
+    return [
+        (d, p)
+        for d in _discriminants(Dmax)
+        for p in sorted({2, 3, 5} | {p for p, _ in factorize(d).factors})
+    ]
 
 
-def _run_cor24(args) -> IdentityReport:
-    return verify_cor24(*args)
-
-
-def _run_prop25(args) -> IdentityReport:
-    return verify_prop25(*args)
-
-
-def _run_thm12(args) -> IdentityReport:
-    return verify_thm12(*args)
-
-
-_CONSTANT_FIBER_NOTE = (
-    "per-fiber cardinality is not constant at sigma_1(gcd(D1, a1, a2)); "
-    "the exact per-pair fibers (depressed congruences at each divisor "
-    "level) aggregate to B everywhere checked"
-)
-
-
-def _run_thm13_scan(args) -> IdentityReport:
-    """All cells (a1, a2) <= amax of one discriminant, classes precomputed."""
-    D, amax = args
-    params = {"D": D, "amax": amax}
-    per_norm = {
-        a: classes_with_norm(D, -a) + classes_with_norm(D, a)
-        for a in range(1, amax + 1)
-    }
-    first_sigma = None
-    for a1 in range(1, amax + 1):
-        for a2 in range(1, amax + 1):
-            b_value = B(D, a1, a2)
-            c1s, c2s = per_norm[a1], per_norm[a2]
-            sigma_sum = fiber_count(D, a1, a2) * len(c1s) * len(c2s)
-            exact_sum = sum(
-                pair_fiber(IdealClassPair(D, c1, c2)) for c1 in c1s for c2 in c2s
-            )
-            detail = {
-                "a1": a1,
-                "a2": a2,
-                "sigma1_sum": sigma_sum,
-                "exact_sum": exact_sum,
-                "B": b_value,
-            }
-            if exact_sum != b_value:
-                return IdentityReport(
-                    "thm13", params, "mismatch", detail,
-                    ("exact per-pair fiber aggregate disagrees with B",),
-                )
-            if sigma_sum != b_value and first_sigma is None:
-                first_sigma = detail
-    if first_sigma is not None:
-        return IdentityReport(
-            "thm13",
-            params,
-            "known_constant_fiber_discrepancy",
-            first_sigma,
-            (_CONSTANT_FIBER_NOTE,),
-        )
-    return IdentityReport("thm13", params, "equal", None)
-
-
-def _run_siegel(args) -> IdentityReport:
-    d, p, T = args
+def _siegel_report(cell: tuple, T: int) -> IdentityReport:
+    """The p-part check of d at p, to degree at least max(T, v_p(d) + 4)."""
+    d, p = cell
+    T = max(T, valuation(d, p) + 4)
+    while p**T >= 2**63:  # keep the modulus p^T factorizable
+        T -= 1
     rep = siegel_factor_check(d, p, T)
     params = {"d": d, "p": p, "T": T}
     if rep.equal:
@@ -234,6 +183,43 @@ def _run_siegel(args) -> IdentityReport:
         "siegel", params, "mismatch",
         {"l": l, "lhs": rep.lhs[l], "rhs": rep.rhs[l]},
     )
+
+
+def _thm44_reports(kmax: int) -> list:
+    poly_rep = thm44_check(kmax)
+    spec_rep = specialization_check(min(kmax, 6))
+    return [
+        IdentityReport(
+            "thm44", {"kmax": kmax, "route": "polynomial"},
+            "equal" if poly_rep.equal else "mismatch",
+            None if poly_rep.equal else {
+                "index": list(poly_rep.first_mismatch),
+                "lhs": list(poly_rep.lhs),
+                "rhs": list(poly_rep.rhs),
+            },
+        ),
+        IdentityReport(
+            "thm44",
+            {
+                "kmax": spec_rep.K,
+                "route": "specialization",
+                "primes": list(spec_rep.primes),
+            },
+            "equal" if spec_rep.equal else "mismatch",
+            spec_rep.first_mismatch,
+        ),
+    ]
+
+
+# identity: (verifier, its instances for --Dmax, the flag passed as its size)
+_RANGE_CHECKS = {
+    "prop21": (verify_prop21, _discriminants, "M"),
+    "cor24": (verify_cor24, _discriminants, "M"),
+    "prop25": (verify_prop25, _odd_integers, "M"),
+    "thm12": (verify_thm12, _odd_integers, "M"),
+    "thm13": (verify_thm13_scan, _discriminants, "amax"),
+    "siegel": (_siegel_report, _siegel_cells, "T"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -347,74 +333,29 @@ def _aggregate_reports(identity: str, params: dict, reports: list) -> dict:
 def _verify_report(config: RunConfig) -> dict:
     identity = config.params["identity"]
     given = {
-        key: config.params.get(key)
-        for key in ("Dmax", "M", "kmax", "amax", "T")
+        key: config.params[key]
+        for key in (*_RANGE_MINIMA, *_CELL_FLAGS)
         if config.params.get(key) is not None
     }
-    params = {**_VERIFY_DEFAULTS[identity], **given}
-    threads = config.threads
-
-    if identity in ("prop21", "cor24"):
-        runner = _run_prop21 if identity == "prop21" else _run_cor24
-        items = [(d, params["M"]) for d in _discriminants(params["Dmax"])]
-        reports = _map_ordered(runner, items, threads)
-    elif identity == "prop25":
-        items = [
-            (D, params["M"]) for D in range(-params["Dmax"], params["Dmax"] + 1)
-            if D and D % 2
-        ]
-        reports = _map_ordered(_run_prop25, items, threads)
-    elif identity == "thm12":
-        items = [
-            (D, params["M"]) for D in range(-params["Dmax"], params["Dmax"] + 1)
-            if D and D % 2
-        ]
-        reports = _map_ordered(_run_thm12, items, threads)
-    elif identity == "thm13":
-        if {"D", "a1", "a2"} <= {
-            k for k, v in config.params.items() if v is not None
-        }:
-            cell = verify_thm13(
-                config.params["D"], config.params["a1"], config.params["a2"]
+    for key, least in _RANGE_MINIMA.items():
+        if given.get(key, least) < least:
+            raise UsageError(f"--{key} must be at least {least}")
+    cell = [given[key] for key in _CELL_FLAGS if key in given]
+    if cell:
+        if identity != "thm13" or len(cell) < 3 or "Dmax" in given or "amax" in given:
+            raise UsageError(
+                "--D, --a1 and --a2 select one thm13 cell: give all three, "
+                "without --Dmax or --amax"
             )
-            return _aggregate_reports(identity, dict(cell.params), [cell])
-        items = [(D, params["amax"]) for D in _discriminants(params["Dmax"])]
-        reports = _map_ordered(_run_thm13_scan, items, threads)
-    elif identity == "siegel":
-        items = []
-        for d in _discriminants(params["Dmax"]):
-            primes = sorted({2, 3, 5} | {p for p, _ in factorize(d).factors})
-            for p in primes:
-                T = max(params["T"], valuation(d, p) + 4)
-                while p**T >= 2**63:  # keep the modulus p^T factorizable
-                    T -= 1
-                items.append((d, p, T))
-        reports = _map_ordered(_run_siegel, items, threads)
-    else:  # thm44
-        kmax = params["kmax"]
-        poly_rep = thm44_check(kmax)
-        spec_rep = specialization_check(min(kmax, 6))
-        reports = [
-            IdentityReport(
-                "thm44", {"kmax": kmax, "route": "polynomial"},
-                "equal" if poly_rep.equal else "mismatch",
-                None if poly_rep.equal else {
-                    "index": list(poly_rep.first_mismatch),
-                    "lhs": list(poly_rep.lhs),
-                    "rhs": list(poly_rep.rhs),
-                },
-            ),
-            IdentityReport(
-                "thm44",
-                {
-                    "kmax": spec_rep.K,
-                    "route": "specialization",
-                    "primes": list(spec_rep.primes),
-                },
-                "equal" if spec_rep.equal else "mismatch",
-                spec_rep.first_mismatch,
-            ),
-        ]
+        report = verify_thm13(*cell)
+        return _aggregate_reports(identity, dict(report.params), [report])
+    params = {**_VERIFY_DEFAULTS[identity], **given}
+    if identity == "thm44":
+        reports = _thm44_reports(params["kmax"])
+    else:
+        verifier, instances, size = _RANGE_CHECKS[identity]
+        items = [(x, params[size]) for x in instances(params["Dmax"])]
+        reports = _map_ordered(verifier, items, config.threads)
     return _aggregate_reports(identity, params, reports)
 
 

@@ -215,6 +215,12 @@ def is_discriminant(D: int) -> bool:
     return D != 0 and D % 4 in (0, 1)
 
 
+def _field_dstar(d: int) -> int:
+    """Fundamental discriminant of Q(sqrt(d)) for any nonzero d."""
+    d0, _ = squarefree_split(d)
+    return d0 if d0 % 4 == 1 else 4 * d0
+
+
 def fundamental_discriminant(D: int) -> int:
     """Fundamental discriminant attached to D (D = 0,1 mod 4, D != 0).
 
@@ -222,8 +228,7 @@ def fundamental_discriminant(D: int) -> int:
     """
     if not is_discriminant(D):
         raise DomainError("D must be nonzero and = 0 or 1 mod 4")
-    d0, _ = squarefree_split(D)
-    return d0 if d0 % 4 == 1 else 4 * d0
+    return _field_dstar(D)
 
 
 def is_fundamental(D: int) -> bool:
@@ -252,7 +257,7 @@ def discriminant_data(D: int) -> DiscriminantData:
     if not is_discriminant(D):
         raise DomainError("D must be nonzero and = 0 or 1 mod 4")
     d0, d1 = squarefree_split(D)
-    dstar = d0 if d0 % 4 == 1 else 4 * d0
+    dstar = _field_dstar(D)
     quot = D // dstar
     alpha_map: dict[int, int] = {}
     if quot > 1:
@@ -350,12 +355,6 @@ class SiegelFactorReport:
     first_mismatch: int | None
     lhs: tuple[int, ...]
     rhs: tuple[int, ...]
-
-
-def _field_dstar(d: int) -> int:
-    """Fundamental discriminant of Q(sqrt(d)) for any nonzero d."""
-    d0, _ = squarefree_split(d)
-    return d0 if d0 % 4 == 1 else 4 * d0
 
 
 def siegel_factor_check(d: int, p: int, T: int) -> SiegelFactorReport:

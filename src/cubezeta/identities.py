@@ -344,6 +344,45 @@ class IdentityReport:
     findings: tuple[str, ...] = ()
 
 
+def _first_mismatch(lhs: Coeffs, rhs: Coeffs) -> dict | None:
+    for n in range(1, len(lhs)):
+        if lhs[n] != rhs[n]:
+            return {"n": n, "lhs": lhs[n], "rhs": rhs[n]}
+    return None
+
+
+def _first_grid_mismatch(lhs, rhs) -> dict | None:
+    for m in range(1, len(lhs)):
+        for n in range(1, len(lhs)):
+            if lhs[m][n] != rhs[m][n]:
+                return {"m": m, "n": n, "lhs": lhs[m][n], "rhs": rhs[m][n]}
+    return None
+
+
+def _printed_then_corrected(
+    identity: str, params: dict, lhs, printed, corrected, known: str,
+    finding, form: str, find=_first_mismatch,
+) -> IdentityReport:
+    """Check a printed right side against lhs, then a corrected one.
+
+    The corrected right side is built by corrected() only when the printed
+    one fails.  Status "equal" when the printed form holds, ``known`` with
+    the text finding(first printed mismatch) when only the corrected form
+    holds, and "mismatch" when neither does.
+    """
+    mismatch = find(lhs, printed)
+    if mismatch is None:
+        return IdentityReport(identity, params, "equal", None)
+    corr = find(lhs, corrected())
+    if corr is None:
+        return IdentityReport(identity, params, known, mismatch, (finding(mismatch),))
+    where = f"(m, n)=({corr['m']}, {corr['n']})" if "m" in corr else f"n={corr['n']}"
+    return IdentityReport(
+        identity, params, "mismatch", mismatch,
+        (f"{form} form also disagrees at {where}",),
+    )
+
+
 def verify_prop21(d: int, M: int) -> IdentityReport:
     """Check sum_a A(d, a) a^{-s} = zeta(2s)^{-1} zeta(s) L(s, chi_d) P(d, s).
 
@@ -359,33 +398,21 @@ def verify_prop21(d: int, M: int) -> IdentityReport:
     base = convolve_many(
         _series_zeta2s_inverse(M), _series_zeta(M), _series_l_chi(d, M)
     )
-    rhs_printed = convolve(base, _series_p_siegel(d, M))
-    first = next((n for n in range(1, M + 1) if lhs[n] != rhs_printed[n]), None)
-    if first is None:
-        return IdentityReport("prop21", {"d": d, "M": M}, "equal", None)
-    rhs_corr = convolve(
-        base, convolve(_odd_part_series(d, M), _corrected_two_part(d, M))
-    )
-    first_corr = next((n for n in range(1, M + 1) if lhs[n] != rhs_corr[n]), None)
-    mismatch = {"n": first, "lhs": lhs[first], "rhs": rhs_printed[first]}
-    if first_corr is None:
-        return IdentityReport(
-            "prop21",
-            {"d": d, "M": M},
-            "known_p2_discrepancy",
-            mismatch,
-            (
-                "printed 2-adic factor disagrees with direct counting "
-                f"(first at n={first}); middle term needs denominator "
-                "1-2^(-2s) instead of 1+2^(-2s); corrected factor matches",
-            ),
-        )
-    return IdentityReport(
+    return _printed_then_corrected(
         "prop21",
         {"d": d, "M": M},
-        "mismatch",
-        mismatch,
-        (f"corrected form also disagrees at n={first_corr}",),
+        lhs,
+        convolve(base, _series_p_siegel(d, M)),
+        lambda: convolve(
+            base, convolve(_odd_part_series(d, M), _corrected_two_part(d, M))
+        ),
+        "known_p2_discrepancy",
+        lambda mismatch: (
+            "printed 2-adic factor disagrees with direct counting "
+            f"(first at n={mismatch['n']}); middle term needs denominator "
+            "1-2^(-2s) instead of 1+2^(-2s); corrected factor matches"
+        ),
+        "corrected",
     )
 
 
@@ -460,36 +487,16 @@ def verify_prop25(D: int, M: int) -> IdentityReport:
         for m in range(1, M + 1):
             twisted[m] = chi(D, hat(m, D)) * a_coeff(D, m)
     base = convolve(_series_p_tilde2(D, M), _series_zeta(M))
-    rhs = convolve(base, twisted)
-    first = next((n for n in range(1, M + 1) if lhs[n] != rhs[n]), None)
-    if first is None:
-        return IdentityReport("prop25", {"D": D, "M": M}, "equal", None)
-    rhs_corr = convolve(convolve(base, _series_zeta_odd_2s_inverse(M)), twisted)
-    first_corr = next((n for n in range(1, M + 1) if lhs[n] != rhs_corr[n]), None)
-    mismatch = {"n": first, "lhs": lhs[first], "rhs": rhs[first]}
-    if first_corr is None:
-        return IdentityReport(
-            "prop25",
-            {"D": D, "M": M},
-            "known_odd_square_discrepancy",
-            mismatch,
-            (_ODD_SQUARE_NOTE,),
-        )
-    return IdentityReport(
+    return _printed_then_corrected(
         "prop25",
         {"D": D, "M": M},
-        "mismatch",
-        mismatch,
-        (f"damped form also disagrees at n={first_corr}",),
+        lhs,
+        convolve(base, twisted),
+        lambda: convolve(convolve(base, _series_zeta_odd_2s_inverse(M)), twisted),
+        "known_odd_square_discrepancy",
+        lambda _: _ODD_SQUARE_NOTE,
+        "damped",
     )
-
-
-def _first_grid_mismatch(lhs, rhs, M: int) -> dict | None:
-    for m in range(1, M + 1):
-        for n in range(1, M + 1):
-            if lhs[m][n] != rhs[m][n]:
-                return {"m": m, "n": n, "lhs": lhs[m][n], "rhs": rhs[m][n]}
-    return None
 
 
 def verify_thm12(D: int, M: int) -> IdentityReport:
@@ -513,25 +520,17 @@ def verify_thm12(D: int, M: int) -> IdentityReport:
                 bgrid[m][n] = B(D, m, n)
                 H[m][n] = chis[m] * chis[n] * a_coeff3(D, m, n)
     factor = convolve(_series_p_tilde2(D, M), _series_zeta(M))
-    mismatch = _first_grid_mismatch(bgrid, convolve_bi(H, factor, factor), M)
-    if mismatch is None:
-        return IdentityReport("thm12", {"D": D, "M": M}, "equal", None)
     damped = convolve(factor, _series_zeta_odd_2s_inverse(M))
-    corr = _first_grid_mismatch(bgrid, convolve_bi(H, damped, damped), M)
-    if corr is None:
-        return IdentityReport(
-            "thm12",
-            {"D": D, "M": M},
-            "known_odd_square_discrepancy",
-            mismatch,
-            (_ODD_SQUARE_NOTE + " (applied once per variable)",),
-        )
-    return IdentityReport(
+    return _printed_then_corrected(
         "thm12",
         {"D": D, "M": M},
-        "mismatch",
-        mismatch,
-        (f"damped form also disagrees at (m, n)=({corr['m']}, {corr['n']})",),
+        bgrid,
+        convolve_bi(H, factor, factor),
+        lambda: convolve_bi(H, damped, damped),
+        "known_odd_square_discrepancy",
+        lambda _: _ODD_SQUARE_NOTE + " (applied once per variable)",
+        "damped",
+        find=_first_grid_mismatch,
     )
 
 

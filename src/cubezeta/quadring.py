@@ -21,8 +21,13 @@ Fibers of the cube-to-pair map:
   whenever gcd(D1, |a1|, |a2|) = 1 but not in general (smallest difference
   at D = -4, a1 = a2 = 2: constant-fiber aggregate 12, B = 4), and only
   the per-pair count aggregates to the orbit count B(D, a1, a2)
-  everywhere; ``verify_thm13`` computes both sums and reports which one
-  matches.
+  everywhere.
+
+``fiber_sums`` computes both aggregates of one cell from its two class
+lists, the per-pair one as sum_{d | g} d * N1(d) * N2(d) over the divisor
+levels d of g = gcd(D1, a1, a2).  ``verify_thm13`` checks one cell and
+``verify_thm13_scan`` every cell a1, a2 <= amax of one discriminant; both
+compare the two sums with B by the same status rule.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .congruence import (
     is_discriminant,
     sigma1,
     sqrt_roots,
+    squarefree_split,
 )
 from .cube import BinaryQuadraticForm, Cube, form1, form2, is_semistable
 from .identities import IdentityReport
@@ -150,6 +156,11 @@ def classes_with_norm(D: int, a: int) -> tuple[OrientedIdealClass, ...]:
     return tuple(OrientedIdealClass(a, b) for b in bs)
 
 
+def _oriented_classes(D: int, a: int) -> tuple[OrientedIdealClass, ...]:
+    """The classes of norm a > 0 in both orientations, negative a first."""
+    return classes_with_norm(D, -a) + classes_with_norm(D, a)
+
+
 def ideal_class_pairs(D: int, a1: int, a2: int) -> tuple[IdealClassPair, ...]:
     """All ordered pairs of classes with norms a1, a2 (both orientations).
 
@@ -158,10 +169,10 @@ def ideal_class_pairs(D: int, a1: int, a2: int) -> tuple[IdealClassPair, ...]:
     """
     if a1 < 1 or a2 < 1:
         raise RangeError("norms must be positive")
-    firsts = classes_with_norm(D, -a1) + classes_with_norm(D, a1)
-    seconds = classes_with_norm(D, -a2) + classes_with_norm(D, a2)
     pairs = [
-        IdealClassPair(D, c1, c2) for c1 in firsts for c2 in seconds
+        IdealClassPair(D, c1, c2)
+        for c1 in _oriented_classes(D, a1)
+        for c2 in _oriented_classes(D, a2)
     ]
     pairs.sort(key=lambda p: (p.first.a, p.first.b, p.second.a, p.second.b))
     return tuple(pairs)
@@ -195,6 +206,11 @@ def fiber_count(D: int, a1: int, a2: int) -> int:
     return sigma1(math.gcd(data.D1, abs(a1), abs(a2)))
 
 
+def _depressed(cls: OrientedIdealClass, d: int, D: int) -> bool:
+    """Whether d | b and (b/d)^2 = D/d^2 (mod 4|a|/d), for d^2 | D and d | a."""
+    return cls.b % d == 0 and ((cls.b // d) ** 2 - D // (d * d)) % (4 * abs(cls.a) // d) == 0
+
+
 def pair_fiber(pair: IdealClassPair) -> int:
     """Cardinality of the cube fiber over one pair of oriented classes.
 
@@ -205,69 +221,108 @@ def pair_fiber(pair: IdealClassPair) -> int:
     genuine further constraint; this is where the constant-fiber shortcut
     breaks.)
     """
-    D = pair.D
-    data = discriminant_data(D)
-    g = math.gcd(data.D1, abs(pair.first.a), abs(pair.second.a))
-    total = 0
-    for d in divisors(g):
-        if pair.first.b % d or pair.second.b % d:
-            continue
-        Dd = D // (d * d)
-        ok = True
-        for cls in (pair.first, pair.second):
-            mod = 4 * abs(cls.a) // d
-            if ((cls.b // d) ** 2 - Dd) % mod:
-                ok = False
-                break
-        if ok:
-            total += d
-    return total
+    D, first, second = pair.D, pair.first, pair.second
+    g = math.gcd(squarefree_split(D)[1], first.norm, second.norm)
+    return sum(
+        d for d in divisors(g) if _depressed(first, d, D) and _depressed(second, d, D)
+    )
+
+
+def fiber_sums(D: int, a1: int, a2: int, firsts, seconds) -> tuple[int, int]:
+    """(constant-fiber sum, per-pair sum) over firsts x seconds, g = gcd(D1, a1, a2).
+
+    firsts and seconds are the classes of norms a1 and a2.  The constant-fiber
+    sum is sigma_1(g) |firsts| |seconds|; the sum of ``pair_fiber`` is taken by
+    divisor levels, sum_{d | g} d N1(d) N2(d), N_i(d) counting the classes of
+    slot i that pass the depressed congruence at d.
+    """
+    g = math.gcd(squarefree_split(D)[1], a1, a2)
+    sigma_sum = sigma1(g) * len(firsts) * len(seconds)
+    exact_sum = sum(
+        d
+        * sum(_depressed(c, d, D) for c in firsts)
+        * sum(_depressed(c, d, D) for c in seconds)
+        for d in divisors(g)
+    )
+    return sigma_sum, exact_sum
+
+
+def _thm13_cell(D: int, a1: int, a2: int, firsts, seconds) -> tuple[str, dict]:
+    """Status of one cell, by its two aggregates next to B(D, a1, a2)."""
+    sigma_sum, exact_sum = fiber_sums(D, a1, a2, firsts, seconds)
+    b_value = B(D, a1, a2)
+    status = (
+        "mismatch" if exact_sum != b_value
+        else "known_constant_fiber_discrepancy" if sigma_sum != b_value
+        else "equal"
+    )
+    return status, {"sigma1_sum": sigma_sum, "exact_sum": exact_sum, "B": b_value}
+
+
+_MISMATCH_NOTE = "exact per-pair fiber aggregate disagrees with B"
 
 
 def verify_thm13(D: int, a1: int, a2: int) -> IdentityReport:
-    """Check the count-by-classes aggregate against the orbit count B.
+    """Check the count-by-classes aggregate of one cell against B(D, a1, a2).
 
-    Enumerates all ordered pairs of oriented classes with norms a1, a2 and
-    forms two aggregates: the constant-fiber sum (every pair weighted by
-    sigma_1(gcd(D1, a1, a2))) and the per-pair sum (weights from
-    ``pair_fiber``).  Status "equal" when the constant-fiber sum matches
-    B(D, a1, a2); "known_constant_fiber_discrepancy" when only the per-pair
-    sum does; "mismatch" when neither does.
+    Takes all ordered pairs of oriented classes with norms a1, a2 and forms
+    both aggregates of ``fiber_sums``: the constant-fiber sum (every pair
+    weighted by sigma_1(gcd(D1, a1, a2))) and the per-pair sum (weights
+    from ``pair_fiber``).  Status "equal" when both match B;
+    "known_constant_fiber_discrepancy" when only the per-pair sum does;
+    "mismatch" when the per-pair sum does not.
     """
-    pairs = ideal_class_pairs(D, a1, a2)
-    constant = fiber_count(D, a1, a2)
-    sigma_sum = constant * len(pairs)
-    exact_sum = sum(pair_fiber(p) for p in pairs)
-    b_value = B(D, a1, a2)
+    if a1 < 1 or a2 < 1:
+        raise RangeError("norms must be positive")
+    firsts, seconds = _oriented_classes(D, a1), _oriented_classes(D, a2)
+    status, sums = _thm13_cell(D, a1, a2, firsts, seconds)
     params = {"D": D, "a1": a1, "a2": a2}
-    detail = {
-        "pairs": len(pairs),
-        "sigma1_sum": sigma_sum,
-        "exact_sum": exact_sum,
-        "B": b_value,
-    }
-    if sigma_sum == b_value:
-        if exact_sum != b_value:
-            return IdentityReport(
-                "thm13", params, "mismatch", detail,
-                ("per-pair fiber aggregate disagrees with B",),
-            )
+    if status == "equal":
+        return IdentityReport("thm13", params, status, None)
+    detail = {"pairs": len(firsts) * len(seconds), **sums}
+    if status == "mismatch":
+        return IdentityReport("thm13", params, status, detail, (_MISMATCH_NOTE,))
+    finding = (
+        "the per-fiber cardinality is not constant at "
+        f"sigma_1(gcd(D1, a1, a2)) = {fiber_count(D, a1, a2)}: the "
+        f"constant-fiber aggregate gives {sums['sigma1_sum']}, but the fibers "
+        "depend on the b-data through the depressed congruences and their "
+        f"exact sum {sums['exact_sum']} matches B"
+    )
+    return IdentityReport("thm13", params, status, detail, (finding,))
+
+
+_CONSTANT_FIBER_NOTE = (
+    "per-fiber cardinality is not constant at sigma_1(gcd(D1, a1, a2)); "
+    "the exact per-pair fibers (depressed congruences at each divisor "
+    "level) aggregate to B everywhere checked"
+)
+
+
+def verify_thm13_scan(D: int, amax: int) -> IdentityReport:
+    """``verify_thm13`` over every cell a1, a2 <= amax of one discriminant.
+
+    The classes of each norm are enumerated once.  The first cell, in
+    (a1, a2) order, whose per-pair sum differs from B is reported as a
+    mismatch; otherwise the first whose constant-fiber sum differs from B
+    is reported as the known discrepancy.
+    """
+    params = {"D": D, "amax": amax}
+    per_norm = {a: _oriented_classes(D, a) for a in range(1, amax + 1)}
+    first_known = None
+    for a1 in range(1, amax + 1):
+        for a2 in range(1, amax + 1):
+            status, sums = _thm13_cell(D, a1, a2, per_norm[a1], per_norm[a2])
+            if status == "mismatch":
+                return IdentityReport(
+                    "thm13", params, status, {"a1": a1, "a2": a2, **sums},
+                    (_MISMATCH_NOTE,),
+                )
+            if status != "equal" and first_known is None:
+                first_known = {"a1": a1, "a2": a2, **sums}
+    if first_known is None:
         return IdentityReport("thm13", params, "equal", None)
-    if exact_sum == b_value:
-        return IdentityReport(
-            "thm13",
-            params,
-            "known_constant_fiber_discrepancy",
-            detail,
-            (
-                "the per-fiber cardinality is not constant at "
-                f"sigma_1(gcd(D1, a1, a2)) = {constant}: the constant-fiber "
-                f"aggregate gives {sigma_sum}, but the fibers depend on the "
-                "b-data through the depressed congruences and their exact "
-                f"sum {exact_sum} matches B",
-            ),
-        )
     return IdentityReport(
-        "thm13", params, "mismatch", detail,
-        ("neither aggregate matches B",),
+        "thm13", params, "known_constant_fiber_discrepancy", first_known,
+        (_CONSTANT_FIBER_NOTE,),
     )

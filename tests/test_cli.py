@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cubezeta
 from cubezeta.cli import main
 from cubezeta.orbits import B
@@ -176,3 +178,34 @@ def test_thread_count_does_not_change_output(capsys):
     _, out1, _ = run(capsys, "table", "B", "--Dmax", "20", "--Mmax", "3", "--threads", "1")
     _, out2, _ = run(capsys, "table", "B", "--Dmax", "20", "--Mmax", "3", "--threads", "2")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("prop25", "--Dmax", "-5"),
+    ("thm12", "--Dmax", "-5"),
+    ("prop21", "--Dmax", "0"),
+    ("cor24", "--Dmax", "0", "--M", "0"),
+    ("thm13", "--Dmax", "4", "--amax", "0"),
+    ("thm13", "--Dmax", "4", "--amax", "-3"),
+    ("thm44", "--kmax", "-1"),
+    ("siegel", "--Dmax", "4", "--T", "0"),
+])
+def test_verify_rejects_a_range_that_checks_nothing(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --") and "must be at least" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("thm13", "--D", "5"),
+    ("thm13", "--D", "5", "--a1", "1", "--Dmax", "4", "--amax", "2"),
+    ("thm13", "--a1", "1", "--a2", "1"),
+    ("thm13", "--D", "5", "--a1", "1", "--a2", "1", "--Dmax", "4"),
+    ("thm13", "--D", "5", "--a1", "1", "--a2", "1", "--amax", "2"),
+    ("cor24", "--D", "5", "--a1", "1", "--a2", "1", "--Dmax", "4", "--M", "4"),
+    ("prop21", "--D", "5", "--Dmax", "4", "--M", "4"),
+])
+def test_verify_cell_flags_go_together_and_only_with_thm13(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --D, --a1 and --a2 select one thm13 cell")

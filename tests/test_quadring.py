@@ -17,6 +17,7 @@ from cubezeta.quadring import (
     QuadraticRing,
     classes_with_norm,
     fiber_count,
+    fiber_sums,
     form_from_class,
     ideal_class_pairs,
     pair_fiber,
@@ -159,3 +160,17 @@ def test_verify_thm13_statuses_frozen():
         "pairs": 4, "sigma1_sum": 12, "exact_sum": 4, "B": 4,
     }
     assert report.findings
+
+
+def test_fiber_sums_match_the_per_pair_and_constant_aggregates():
+    for D in range(-60, 61):
+        if not is_discriminant(D):
+            continue
+        classes = {a: classes_with_norm(D, -a) + classes_with_norm(D, a) for a in range(1, 13)}
+        for a1 in range(1, 13):
+            for a2 in range(1, 13):
+                pairs = ideal_class_pairs(D, a1, a2)
+                assert fiber_sums(D, a1, a2, classes[a1], classes[a2]) == (
+                    fiber_count(D, a1, a2) * len(pairs),
+                    sum(pair_fiber(p) for p in pairs),
+                ), (D, a1, a2)
