@@ -22,16 +22,18 @@ Subcommands
 Exit codes: 0 when every assertion passed (including "pass_with_findings"
 verification reports, whose defects are expected and documented), 1 when a
 verification found a real mismatch, 2 on usage errors, among them a verify
-range flag below its least value.
+range flag below its least value or one that the identity does not read.
 
 The env var CUBEZETA_THREADS (or --threads) sets the worker-process count
-for range subcommands; results are gathered in submission order, so output
-is byte-identical for every parallelism degree.
+for range subcommands; results are written in submission order as they
+arrive (``table`` one discriminant at a time), so output is byte-identical
+for every parallelism degree.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -57,7 +59,7 @@ from .identities import (
     verify_prop25,
     verify_thm12,
 )
-from .orbits import B, congruence_pairs, cube_from_pair
+from .orbits import B, b_grid, congruence_pairs, cube_from_pair
 from .ppart import f_a3_expand, p_eval, p_format, specialization_check, thm44_check
 from .quadring import ideal_class_pairs, pair_fiber, verify_thm13, verify_thm13_scan
 from .wmds import a_coeff3
@@ -66,6 +68,7 @@ SCHEMA = 1
 
 IDENTITIES = ("prop21", "cor24", "prop25", "thm12", "thm44", "thm13", "siegel")
 
+# the range flags each identity reads, with their defaults
 _VERIFY_DEFAULTS = {
     "prop21": {"Dmax": 200, "M": 200},
     "cor24": {"Dmax": 200, "M": 200},
@@ -111,23 +114,28 @@ def _odd_integers(Dmax: int) -> list:
     return [D for D in range(-Dmax, Dmax + 1) if D % 2]
 
 
-def _map_ordered(fn, items, threads: int) -> list:
-    """fn(*item) over items, in order; a process pool when threads > 1."""
+def _map_ordered(fn, items, threads: int):
+    """Yield fn(*item) over items in order; a process pool when threads > 1."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
-        return [fn(*item) for item in items]
+        yield from (fn(*item) for item in items)
+        return
     chunk = max(1, len(items) // (threads * 8))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, *zip(*items), chunksize=chunk))
+        yield from pool.map(fn, *zip(*items), chunksize=chunk)
+
+
+def _write(texts, output: str | None) -> None:
+    """Write each text as it comes, to stdout or to the output file."""
+    if output is None:
+        sys.stdout.writelines(texts)
+    else:
+        with open(output, "w") as handle:
+            handle.writelines(texts)
 
 
 def _emit(lines: list, output: str | None) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w") as handle:
-            handle.write(text)
+    _write(["".join(line + "\n" for line in lines)], output)
 
 
 def _require(params: dict, *names: str) -> list:
@@ -142,21 +150,26 @@ def _require(params: dict, *names: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _row_chunk_B(D: int, Mmax: int) -> list:
-    return [
-        f"{D},{m},{n},{B(D, m, n)}"
-        for m in range(1, Mmax + 1)
-        for n in range(1, Mmax + 1)
-    ]
+def _row_chunk_B(D: int, Mmax: int) -> str:
+    """The table rows of D; the cells "n,B\\n" of equal grid rows are built once."""
+    cells = {}
+    rows = []
+    for m, row in enumerate(b_grid(D, Mmax)[1:], 1):
+        key = tuple(row)
+        if key not in cells:
+            cells[key] = [f"{n},{row[n]}\n" for n in range(1, Mmax + 1)]
+        pre = f"{D},{m},"
+        rows.append(pre + pre.join(cells[key]))
+    return "".join(rows)
 
 
-def _row_chunk_a3(D: int, Mmax: int) -> list:
+def _row_chunk_a3(D: int, Mmax: int) -> str:
     chis = {m: chi(D, hat(m, D)) for m in range(1, Mmax + 1)}
-    return [
-        f"{D},{m},{n},{a_coeff3(D, m, n)},{chis[m]},{chis[n]}"
+    return "".join(
+        f"{D},{m},{n},{a_coeff3(D, m, n)},{chis[m]},{chis[n]}\n"
         for m in range(1, Mmax + 1)
         for n in range(1, Mmax + 1)
-    ]
+    )
 
 
 def _siegel_cells(Dmax: int) -> list:
@@ -340,6 +353,8 @@ def _verify_report(config: RunConfig) -> dict:
     for key, least in _RANGE_MINIMA.items():
         if given.get(key, least) < least:
             raise UsageError(f"--{key} must be at least {least}")
+        if key in given and key not in _VERIFY_DEFAULTS[identity]:
+            raise UsageError(f"verify {identity} does not read --{key}")
     cell = [given[key] for key in _CELL_FLAGS if key in given]
     if cell:
         if identity != "thm13" or len(cell) < 3 or "Dmax" in given or "amax" in given:
@@ -355,7 +370,7 @@ def _verify_report(config: RunConfig) -> dict:
     else:
         verifier, instances, size = _RANGE_CHECKS[identity]
         items = [(x, params[size]) for x in instances(params["Dmax"])]
-        reports = _map_ordered(verifier, items, config.threads)
+        reports = list(_map_ordered(verifier, items, config.threads))
     return _aggregate_reports(identity, params, reports)
 
 
@@ -376,10 +391,7 @@ def _cmd_table(config: RunConfig) -> int:
     chunks = _map_ordered(
         worker, [(D, Mmax) for D in _discriminants(Dmax)], config.threads
     )
-    lines = [header]
-    for chunk in chunks:
-        lines.extend(chunk)
-    _emit(lines, config.output)
+    _write(itertools.chain([header + "\n"], chunks), config.output)
     return 0
 
 

@@ -376,6 +376,11 @@ def _digit_units(bits: int, positions) -> int:
     return sum(1 << (bits * i) for i in positions)
 
 
+def _is_square_mod(D: int, k: int) -> bool:
+    """Whether D is a square mod k, by direct scan (the oracle uses no sqrt_count)."""
+    return any((r * r - D) % k == 0 for r in range(k))
+
+
 def _slice_enumerate(D: int, m: int, n: int, R: int) -> tuple[list[int], list[int]]:
     """Cubes with c = 0, a > 0, |entries| <= R, |m| = m, |n| = n, disc = D.
 
@@ -392,7 +397,7 @@ def _slice_enumerate(D: int, m: int, n: int, R: int) -> tuple[list[int], list[in
     maxabs: list[int] = []
     fourm, fourn = 4 * m, 4 * n
     roots = [r for r in range(fourm) if (r * r - D) % fourm == 0]
-    if not roots or all((r * r - D) % fourn for r in range(fourn)):
+    if not roots or not _is_square_mod(D, fourn):
         return keys, maxabs
     bits = _key_bits(R)
     for aa in divisors(math.gcd(m, n)):
@@ -492,8 +497,10 @@ def orbit_count_oracle(
     that touch the outer shell are added.  Negation pairs each such component
     with one of the a < 0 half into one orbit trace, so these are the orbit
     counts.  The count is stable when the two agree, i.e. when enlarging the
-    slack by one does not change it.  ``cubes_enumerated`` counts the whole
-    slice, both halves.
+    slack by one does not change it, and the inner box holds a cube.  An empty
+    inner box is stable only when no cube has these invariants at all, i.e.
+    when D is no square mod 4m or mod 4n (then B = 0).  ``cubes_enumerated``
+    counts the whole slice, both halves.
     """
     m, n = abs(m), abs(n)
     if m == 0 or n == 0:
@@ -536,4 +543,6 @@ def orbit_count_oracle(
     for i, j in deferred:
         parent[_find(parent, i)] = _find(parent, j)
     count_wider = len({_find(parent, i) for i in inner})
-    return OracleCount(count, count == count_wider, R, slack, 2 * len(keys))
+    exists = _is_square_mod(D, 4 * m) and _is_square_mod(D, 4 * n)
+    return OracleCount(count, count == count_wider and (bool(inner) or not exists),
+                       R, slack, 2 * len(keys))

@@ -48,7 +48,7 @@ from .congruence import (
     mobius,
     sqrt_count,
 )
-from .orbits import B
+from .orbits import b_grid
 from .wmds import a_coeff, a_coeff3
 
 Coeffs = list  # c[0] unused; c[1..M] are the coefficients
@@ -511,13 +511,12 @@ def verify_thm12(D: int, M: int) -> IdentityReport:
     """
     if D == 0 or D % 2 == 0:
         raise DomainError("D must be odd and nonzero")
-    bgrid = [[0] * (M + 1) for _ in range(M + 1)]
+    bgrid = b_grid(D, M)
     H = [[0] * (M + 1) for _ in range(M + 1)]
     if D % 4 == 1:
         chis = [0] + [chi(D, hat(m, D)) for m in range(1, M + 1)]
         for m in range(1, M + 1):
             for n in range(1, M + 1):
-                bgrid[m][n] = B(D, m, n)
                 H[m][n] = chis[m] * chis[n] * a_coeff3(D, m, n)
     factor = convolve(_series_p_tilde2(D, M), _series_zeta(M))
     damped = convolve(factor, _series_zeta_odd_2s_inverse(M))
@@ -568,9 +567,10 @@ def partial_sum(s1: float, s2: float, w: float, Dmax: int, M: int) -> PartialSum
         if D == 0 or D % 4 not in (0, 1):
             continue
         inner = []
+        grid = b_grid(D, M)
         for m in range(1, M + 1):
             for n in range(1, M + 1):
-                b = B(D, m, n)
+                b = grid[m][n]
                 if b:
                     inner.append(b * m**-s1 * n**-s2)
         if inner:

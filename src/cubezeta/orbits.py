@@ -4,12 +4,14 @@ For nonzero (D, m, n) with D = 0,1 mod 4, orbits of projective cubes with
 invariants (D, m, n) correspond to pairs of square roots
 x^2 = D (mod 4m), y^2 = D (mod 4n) taken in the windows [0, 2|m|) and
 [0, 2|n|); ``cube_from_invariants`` builds the explicit representative.
-The total count over all divisor levels is
+The total count is a sum over the divisor levels d | D1, D = D0 * D1^2 with
+D0 squarefree (on a box m, n <= M only the levels d <= M):
 
-    B(D, m, n) = sum_{d | gcd(D1, m, n)} d
-                 * sqrt_count(D/d^2, 4m/d) * sqrt_count(D/d^2, 4n/d)
+    B(D, m, n) = sum_{d | D1} d * A_d(m) * A_d(n),
+    A_d(m) = sqrt_count(D/d^2, 4m/d) if d | m, and 0 otherwise.
 
-with D = D0 * D1^2, D0 squarefree; B vanishes unless D = 0,1 mod 4.
+B vanishes unless D = 0,1 mod 4.  ``b_grid`` sums a whole box from one
+vector A_d per level; ``B`` computes one cell.
 """
 
 from __future__ import annotations
@@ -137,10 +139,28 @@ def B(D: int, m: int, n: int) -> int:
 
 
 def b_grid(D: int, M: int) -> list[list[int]]:
-    """Grid of B(D, m, n) for 1 <= m, n <= M; index [m][n], row/col 0 unused."""
-    grid = [[0] * (M + 1) for _ in range(M + 1)]
-    if D % 4 in (0, 1) and D != 0:
-        for m in range(1, M + 1):
-            for n in range(1, M + 1):
-                grid[m][n] = B(D, m, n)
+    """Grid of B(D, m, n) for 1 <= m, n <= M; index [m][n], row/col 0 unused.
+
+    Summed from the level vectors A_d[m] (see the module docstring), with no
+    gcd or divisor list per cell; all zero unless D = 0,1 mod 4, D != 0.
+    """
+    levels = []
+    if D != 0 and D % 4 in (0, 1):
+        _, d1 = squarefree_split(D)
+        for d in divisors(d1):
+            if d > M:
+                break
+            dd = D // (d * d)
+            A = [0] * (M + 1)
+            for k in range(1, M // d + 1):
+                A[d * k] = sqrt_count(dd, 4 * k)
+            levels.append((d, A))
+    grid = []
+    for m in range(M + 1):
+        row = [0] * (M + 1)
+        for d, A in levels:
+            if A[m]:
+                scale = d * A[m]
+                row = [r + scale * a for r, a in zip(row, A)]
+        grid.append(row)
     return grid

@@ -139,31 +139,6 @@ class TriSeries:
         )
 
 
-def series_mul(A: TriSeries, B: TriSeries) -> TriSeries:
-    """Full truncated product (O(K^6) coefficient multiplications)."""
-    if A.K != B.K:
-        raise DomainError("series truncation orders differ")
-    K = A.K
-    out = TriSeries.zero(K)
-    for l1 in range(K + 1):
-        for k1 in range(K + 1):
-            for t1 in range(K + 1):
-                c1 = A.coeffs[l1][k1][t1]
-                if not c1:
-                    continue
-                for l2 in range(K + 1 - l1):
-                    for k2 in range(K + 1 - k1):
-                        for t2 in range(K + 1 - t1):
-                            c2 = B.coeffs[l2][k2][t2]
-                            if not c2:
-                                continue
-                            tgt = out.coeffs[l1 + l2][k1 + k2][t1 + t2]
-                            out.coeffs[l1 + l2][k1 + k2][t1 + t2] = p_add(
-                                tgt, p_mul(c1, c2)
-                            )
-    return out
-
-
 def series_mul_geometric(
     A: TriSeries, monomial: tuple[int, int, int], p_power: int
 ) -> TriSeries:

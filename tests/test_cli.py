@@ -64,21 +64,40 @@ def test_orbits_oracle_negative_box_exits_2(capsys):
         assert "nonnegative" in err
 
 
-def test_oracle_sweep_rejects_bad_ranges_with_exit_2():
+def oracle_sweep(*argv):
     script = Path(__file__).resolve().parents[1] / "scripts" / "oracle_sweep.py"
     src = str(Path(cubezeta.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, str(script), *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_oracle_sweep_rejects_bad_ranges_with_exit_2():
     for flag, value in (("--slack", "-1"), ("--entry-bound", "-2"), ("--Dmax", "-3"),
                         ("--Mmax", "0")):
-        proc = subprocess.run([sys.executable, str(script), flag, value], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = oracle_sweep(flag, value)
         assert proc.returncode == 2 and proc.stdout == "", flag
         assert f"error: {flag} must be" in proc.stderr, flag
-    proc = subprocess.run([sys.executable, str(script), "--Dmax", "5", "--Mmax", "1"],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = oracle_sweep("--Dmax", "5", "--Mmax", "1")
     assert proc.returncode == 0
     assert proc.stdout.startswith("5 cells, 0 mismatches, 0 unstable, ")
+
+
+def test_oracle_with_no_cube_in_the_inner_box_is_unstable(capsys):
+    # entry bound 0 admits no cube (a != 0), though the slice holds 96
+    code, out, _ = run(capsys, "orbits", "--D", "5", "--m", "1", "--n", "1", "--oracle",
+                       "--entry-bound", "0", "--slack", "0")
+    assert code == 1
+    assert out.splitlines() == ["B = 4", "oracle = 0", "stable = false", "agree = false"]
+    # an empty slice is exact: 5 is no square mod 4n = 8, so B = 0
+    code, out, _ = run(capsys, "orbits", "--D", "5", "--m", "1", "--n", "2", "--oracle",
+                       "--entry-bound", "0", "--slack", "0")
+    assert code == 0
+    assert out.splitlines() == ["B = 0", "oracle = 0", "stable = true", "agree = true"]
+    proc = oracle_sweep("--Dmax", "5", "--Mmax", "1", "--entry-bound", "0", "--slack", "0")
+    assert proc.returncode == 1
+    assert "5 cells, 5 mismatches, 5 unstable, " in proc.stdout
 
 
 def test_pairs_listing(capsys):
@@ -169,9 +188,10 @@ def test_zeta_value_and_warning(capsys):
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code = main(["table", "B", "--Dmax", "5", "--Mmax", "2", "--output", str(target)])
-    capsys.readouterr()
-    assert code == 0
+    assert code == 0 and capsys.readouterr().out == ""
     assert target.read_text().splitlines()[0] == "D,m,n,B"
+    _, out, _ = run(capsys, "table", "B", "--Dmax", "5", "--Mmax", "2")
+    assert target.read_bytes() == out.encode()
 
 
 def test_thread_count_does_not_change_output(capsys):
@@ -194,6 +214,21 @@ def test_verify_rejects_a_range_that_checks_nothing(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: --") and "must be at least" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("prop21", "--Dmax", "4", "--M", "5", "--kmax", "3", "--T", "7", "--amax", "2"),
+    ("cor24", "--T", "3"),
+    ("prop25", "--amax", "2"),
+    ("thm12", "--kmax", "2"),
+    ("thm44", "--Dmax", "5"),
+    ("thm13", "--M", "4"),
+    ("siegel", "--Dmax", "4", "--M", "4"),
+])
+def test_verify_rejects_a_flag_the_identity_does_not_read(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: verify {argv[0]} does not read --")
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubezeta.congruence import sqrt_count_direct
 from cubezeta.cube import (
     BinaryQuadraticForm,
     Cube,
@@ -204,7 +205,8 @@ def tuple_graph_oracle(D, m, n, entry_bound, slack):
     (the enumerated a > 0 half and its negation), built on decoded tuples
     with explicit neighbour tuples; the count at radius R + slack and the
     count with the outer shell's edges come from two separate union-find
-    passes over the whole edge list.
+    passes over the whole edge list.  An inner box without a cube is unstable
+    whenever some cube has the invariants, i.e. D is a square mod 4m and 4n.
     """
     R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
     keys, _ = _slice_enumerate(D, m, n, R + slack + 1)
@@ -241,7 +243,9 @@ def tuple_graph_oracle(D, m, n, entry_bound, slack):
         return len({find(i) for i in range(len(cubes)) if maxabs[i] <= R})
 
     count, wider = count_at(R + slack), count_at(R + slack + 1)
-    return OracleCount(count, count == wider, R, slack, len(cubes))
+    exists = sqrt_count_direct(D, 4 * m) and sqrt_count_direct(D, 4 * n)
+    vacuous = exists and all(r > R for r in maxabs)
+    return OracleCount(count, count == wider and not vacuous, R, slack, len(cubes))
 
 
 def test_oracle_matches_tuple_graph_reference():
@@ -258,6 +262,10 @@ def test_oracle_matches_tuple_graph_reference():
                     unstable.add((D, m, n, entry_bound, slack))
     # the deferred outer-shell edges change the count on these cells
     assert {(-15, 1, 1, 2, 1), (9, 1, 1, 1, 0)} <= unstable
+    # an inner box of radius 0 holds no cube (a != 0): unstable where B > 0,
+    # stable where the slice is empty because 5 is no square mod 4n = 8
+    assert (-4, 1, 1, 0, 5) in unstable
+    assert (5, 1, 2, 0, 0) not in unstable and (5, 2, 2, 0, 5) not in unstable
 
 
 def test_oracle_rejects_negative_box():

@@ -100,11 +100,27 @@ def test_b_term_vanishes_off_divisor_levels():
     assert b_term(45, 3, 3, 3) == 3 * sqrt_count(5, 4) * sqrt_count(5, 4)
 
 
+def b_grid_pointwise(D, M):
+    if D % 4 not in (0, 1):
+        return [[0] * (M + 1) for _ in range(M + 1)]
+    return [[0] * (M + 1)] + [
+        [0] + [B(D, m, n) for n in range(1, M + 1)] for m in range(1, M + 1)
+    ]
+
+
 def test_b_grid_matches_pointwise():
-    grid = b_grid(45, 6)
-    for m in range(1, 7):
-        for n in range(1, 7):
-            assert grid[m][n] == B(45, m, n)
+    for D in range(-300, 301):
+        if D:
+            assert b_grid(D, 40) == b_grid_pointwise(D, 40), D
+
+
+@given(st.integers(min_value=-40, max_value=40).filter(bool),
+       st.integers(min_value=1, max_value=30))
+@settings(max_examples=60, deadline=None)
+def test_b_grid_matches_pointwise_with_square_factors(D0, k):
+    # D1 = k * (the square part of D0) has several divisor levels d <= M
+    D = D0 * k * k
+    assert b_grid(D, 40) == b_grid_pointwise(D, 40)
 
 
 @given(discs, sides, sides)

@@ -21,7 +21,6 @@ from cubezeta.ppart import (
     p_mul,
     p_trim,
     series_geometric_inverse,
-    series_mul,
     series_mul_geometric,
     specialization_check,
     thm44_check,
@@ -69,6 +68,30 @@ def test_a2_poly_frozen():
     for l in range(6):
         assert a2_poly(0, l) == P_ONE
     assert a2_poly(-1, 3) == P_ZERO
+
+
+def series_mul(A: TriSeries, B: TriSeries) -> TriSeries:
+    """Reference: the full truncated product (O(K^6) coefficient multiplications)."""
+    assert A.K == B.K
+    K = A.K
+    out = TriSeries.zero(K)
+    for l1 in range(K + 1):
+        for k1 in range(K + 1):
+            for t1 in range(K + 1):
+                c1 = A.coeffs[l1][k1][t1]
+                if not c1:
+                    continue
+                for l2 in range(K + 1 - l1):
+                    for k2 in range(K + 1 - k1):
+                        for t2 in range(K + 1 - t1):
+                            c2 = B.coeffs[l2][k2][t2]
+                            if not c2:
+                                continue
+                            tgt = out.coeffs[l1 + l2][k1 + k2][t1 + t2]
+                            out.coeffs[l1 + l2][k1 + k2][t1 + t2] = p_add(
+                                tgt, p_mul(c1, c2)
+                            )
+    return out
 
 
 def _geometric_series(K, monomial, p_power):
