@@ -59,7 +59,7 @@ from .identities import (
     verify_prop25,
     verify_thm12,
 )
-from .orbits import B, CongruencePair, b_grid, b_term, congruence_pairs, cube_from_invariants
+from .orbits import B, CongruencePair, b_grid, congruence_pairs, cube_from_invariants
 from .ppart import (
     f_a3_convolution,
     f_a3_expand,
@@ -83,7 +83,7 @@ from .quadring import (
     verify_thm13,
     verify_thm13_scan,
 )
-from .wmds import a_coeff, a_coeff3, a_pp, tilde_a
+from .wmds import a3_grid, a_coeff, a_coeff3, a_pp, tilde_a
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -62,7 +62,7 @@ from .identities import (
 from .orbits import B, b_grid, congruence_pairs, cube_from_pair
 from .ppart import f_a3_expand, p_eval, p_format, specialization_check, thm44_check
 from .quadring import ideal_class_pairs, pair_fiber, verify_thm13, verify_thm13_scan
-from .wmds import a_coeff3
+from .wmds import a3_grid, a_coeff3
 
 SCHEMA = 1
 
@@ -145,6 +145,14 @@ def _require(params: dict, *names: str) -> list:
     return [params[name] for name in names]
 
 
+def _box(params: dict) -> list:
+    """--Dmax and --Mmax of a range command; a negative one is a usage error."""
+    Dmax, Mmax = _require(params, "Dmax", "Mmax")
+    if Dmax < 0 or Mmax < 0:
+        raise UsageError("--Dmax and --Mmax must be nonnegative")
+    return [Dmax, Mmax]
+
+
 # ---------------------------------------------------------------------------
 # Range workers (module level so they pickle into worker processes)
 # ---------------------------------------------------------------------------
@@ -164,9 +172,10 @@ def _row_chunk_B(D: int, Mmax: int) -> str:
 
 
 def _row_chunk_a3(D: int, Mmax: int) -> str:
-    chis = {m: chi(D, hat(m, D)) for m in range(1, Mmax + 1)}
+    chis = [0] + [chi(D, hat(m, D)) for m in range(1, Mmax + 1)]
+    grid = a3_grid(D, Mmax)
     return "".join(
-        f"{D},{m},{n},{a_coeff3(D, m, n)},{chis[m]},{chis[n]}\n"
+        f"{D},{m},{n},{grid[m][n]},{chis[m]},{chis[n]}\n"
         for m in range(1, Mmax + 1)
         for n in range(1, Mmax + 1)
     )
@@ -383,9 +392,7 @@ def _cmd_verify(config: RunConfig) -> int:
 def _cmd_table(config: RunConfig) -> int:
     params = config.params
     what = params["what"]
-    Dmax, Mmax = _require(params, "Dmax", "Mmax")
-    if Dmax < 0 or Mmax < 0:
-        raise UsageError("--Dmax and --Mmax must be nonnegative")
+    Dmax, Mmax = _box(params)
     worker = _row_chunk_B if what == "B" else _row_chunk_a3
     header = "D,m,n,B" if what == "B" else "D,m,n,a,chi_m,chi_n"
     chunks = _map_ordered(
@@ -397,7 +404,8 @@ def _cmd_table(config: RunConfig) -> int:
 
 def _cmd_zeta(config: RunConfig) -> int:
     params = config.params
-    s1, s2, w, Dmax, Mmax = _require(params, "s1", "s2", "w", "Dmax", "Mmax")
+    s1, s2, w = _require(params, "s1", "s2", "w")
+    Dmax, Mmax = _box(params)
     result = partial_sum(s1, s2, w, Dmax, Mmax)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)

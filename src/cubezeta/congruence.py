@@ -11,6 +11,14 @@ Also here: factorization into signed prime powers, the splitting
 ``D = D0 * D1^2`` with ``D0`` squarefree, fundamental discriminants, the
 Kronecker character attached to a discriminant, and an exact checker for the
 closed-form generating function of ``sum_l sqrt_count(d, p^l) q^l``.
+
+The orbit count B and the rank-3 coefficient a3 are one sum over the divisor
+levels d of D1 with a local factor L, sqrt_count(D', 4k) for B, a(D', k) for a3:
+
+    S_L(D, m, n) = sum_{d | gcd(D1, m, n)} d * L(D/d^2, m/d) * L(D/d^2, n/d).
+
+``level_sum`` sums one cell; ``level_grid`` a box m, n <= M from one vector
+L_d[m] = L(D/d^2, m/d) (0 unless d | m) per level d <= M, no gcd per cell.
 """
 
 from __future__ import annotations
@@ -133,6 +141,39 @@ def squarefree_split(D: int) -> tuple[int, int]:
             d0 *= p
         d1 *= p ** (e // 2)
     return d0, d1
+
+
+def level_sum(D: int, m: int, n: int, local) -> int:
+    """S_L(D, m, n) with L = local (see the module docstring); D != 0, m, n >= 1."""
+    _, d1 = squarefree_split(D)
+    total = 0
+    for d in divisors(math.gcd(d1, m, n)):
+        dd = D // (d * d)
+        term = local(dd, m // d)
+        if term:
+            total += d * term * local(dd, n // d)
+    return total
+
+
+def level_grid(D: int, M: int, local) -> list[list[int]]:
+    """S_L(D, m, n) for 1 <= m, n <= M; index [m][n], row and column 0 zero."""
+    _, d1 = squarefree_split(D)
+    levels = []
+    for d in divisors(d1):
+        if d > M:
+            break
+        dd, L = D // (d * d), [0] * (M + 1)
+        L[d::d] = [local(dd, k) for k in range(1, M // d + 1)]
+        levels.append((d, L))
+    grid = []
+    for m in range(M + 1):
+        row = [0] * (M + 1)
+        for d, L in levels:
+            if L[m]:
+                scale = d * L[m]
+                row = [r + scale * x for r, x in zip(row, L)]
+        grid.append(row)
+    return grid
 
 
 def _legendre(u: int, p: int) -> int:

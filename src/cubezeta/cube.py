@@ -376,29 +376,32 @@ def _digit_units(bits: int, positions) -> int:
     return sum(1 << (bits * i) for i in positions)
 
 
-def _is_square_mod(D: int, k: int) -> bool:
-    """Whether D is a square mod k, by direct scan (the oracle uses no sqrt_count)."""
-    return any((r * r - D) % k == 0 for r in range(k))
+def _slice_roots(D: int, m: int, n: int) -> list[int]:
+    """The square roots of D mod 4m, or none when D is no square mod 4n.
+
+    Nonempty exactly when some cube has the invariants (D, m, n), the second
+    form having leading coefficient a*g = +-n.  Both are direct residue scans;
+    the oracle uses no sqrt_count.
+    """
+    roots = [r for r in range(4 * m) if (r * r - D) % (4 * m) == 0]
+    if roots and any((r * r - D) % (4 * n) == 0 for r in range(4 * n)):
+        return roots
+    return []
 
 
-def _slice_enumerate(D: int, m: int, n: int, R: int) -> tuple[list[int], list[int]]:
+def _slice_enumerate(D: int, m: int, n: int, R: int, roots) -> tuple[list[int], list[int]]:
     """Cubes with c = 0, a > 0, |entries| <= R, |m| = m, |n| = n, disc = D.
 
     Returns the cubes' keys (packed with ``_key_bits(R)`` bits per entry) and,
     in the same order, their largest absolute entries.  Each cube appears
     once; negating them gives the a < 0 half.  Walks the Diophantine
     structure of the slice: a*d = +-m, a*g = +-n, x = b*g - d*e (the middle
-    coefficient of the first form) runs over the congruence class
-    x^2 = D (mod 4m), (b, e) live on a Bezout line for given x and h, and f
-    is determined up to exact divisibility.  The slice is empty unless D is
-    also a square mod 4n, the second form having leading coefficient a*g.
+    coefficient of the first form) runs over the classes mod 4m of the
+    ``roots`` that ``_slice_roots`` returns, (b, e) live on a Bezout line for
+    given x and h, and f is determined up to exact divisibility.
     """
     keys: list[int] = []
     maxabs: list[int] = []
-    fourm, fourn = 4 * m, 4 * n
-    roots = [r for r in range(fourm) if (r * r - D) % fourm == 0]
-    if not roots or not _is_square_mod(D, fourn):
-        return keys, maxabs
     bits = _key_bits(R)
     for aa in divisors(math.gcd(m, n)):
         dd, gg = m // aa, n // aa
@@ -509,7 +512,8 @@ def orbit_count_oracle(
         raise DomainError("oracle entry_bound and slack must be nonnegative")
     R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
     core = R + slack
-    keys, maxabs = _slice_enumerate(D, m, n, core + 1)
+    roots = _slice_roots(D, m, n)
+    keys, maxabs = _slice_enumerate(D, m, n, core + 1, roots)
     bits = _key_bits(core + 1)
     half, digit = 1 << (bits - 1), (1 << bits) - 1
     # the entries that the k = +1 shears add: (a, b, c, d), (a, c, e, g), (c, d, g, h)
@@ -543,6 +547,5 @@ def orbit_count_oracle(
     for i, j in deferred:
         parent[_find(parent, i)] = _find(parent, j)
     count_wider = len({_find(parent, i) for i in inner})
-    exists = _is_square_mod(D, 4 * m) and _is_square_mod(D, 4 * n)
-    return OracleCount(count, count == count_wider and (bool(inner) or not exists),
+    return OracleCount(count, count == count_wider and (bool(inner) or not roots),
                        R, slack, 2 * len(keys))

@@ -49,7 +49,7 @@ from .congruence import (
     sqrt_count,
 )
 from .orbits import b_grid
-from .wmds import a_coeff, a_coeff3
+from .wmds import a3_grid, a_coeff
 
 Coeffs = list  # c[0] unused; c[1..M] are the coefficients
 
@@ -511,19 +511,17 @@ def verify_thm12(D: int, M: int) -> IdentityReport:
     """
     if D == 0 or D % 2 == 0:
         raise DomainError("D must be odd and nonzero")
-    bgrid = b_grid(D, M)
     H = [[0] * (M + 1) for _ in range(M + 1)]
     if D % 4 == 1:
         chis = [0] + [chi(D, hat(m, D)) for m in range(1, M + 1)]
-        for m in range(1, M + 1):
-            for n in range(1, M + 1):
-                H[m][n] = chis[m] * chis[n] * a_coeff3(D, m, n)
+        a3 = a3_grid(D, M)
+        H = [[cm * cn * a for cn, a in zip(chis, row)] for cm, row in zip(chis, a3)]
     factor = convolve(_series_p_tilde2(D, M), _series_zeta(M))
     damped = convolve(factor, _series_zeta_odd_2s_inverse(M))
     return _printed_then_corrected(
         "thm12",
         {"D": D, "M": M},
-        bgrid,
+        b_grid(D, M),
         convolve_bi(H, factor, factor),
         lambda: convolve_bi(H, damped, damped),
         "known_odd_square_discrepancy",
@@ -566,13 +564,10 @@ def partial_sum(s1: float, s2: float, w: float, Dmax: int, M: int) -> PartialSum
     for D in range(-Dmax, Dmax + 1):
         if D == 0 or D % 4 not in (0, 1):
             continue
-        inner = []
-        grid = b_grid(D, M)
-        for m in range(1, M + 1):
-            for n in range(1, M + 1):
-                b = grid[m][n]
-                if b:
-                    inner.append(b * m**-s1 * n**-s2)
+        inner = [
+            b * m**-s1 * n**-s2
+            for m, row in enumerate(b_grid(D, M)) for n, b in enumerate(row) if b
+        ]
         if inner:
             terms.append(math.fsum(inner) * abs(D) ** -w)
     return PartialSumResult(

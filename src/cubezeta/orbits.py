@@ -4,14 +4,10 @@ For nonzero (D, m, n) with D = 0,1 mod 4, orbits of projective cubes with
 invariants (D, m, n) correspond to pairs of square roots
 x^2 = D (mod 4m), y^2 = D (mod 4n) taken in the windows [0, 2|m|) and
 [0, 2|n|); ``cube_from_invariants`` builds the explicit representative.
-The total count is a sum over the divisor levels d | D1, D = D0 * D1^2 with
-D0 squarefree (on a box m, n <= M only the levels d <= M):
-
-    B(D, m, n) = sum_{d | D1} d * A_d(m) * A_d(n),
-    A_d(m) = sqrt_count(D/d^2, 4m/d) if d | m, and 0 otherwise.
-
-B vanishes unless D = 0,1 mod 4.  ``b_grid`` sums a whole box from one
-vector A_d per level; ``B`` computes one cell.
+The total count B(D, m, n) is the divisor-level sum of ``congruence`` with
+local factor A(D', 4k) = sqrt_count(D', 4k); its level d = 1 term is four
+times the number of congruence pairs.  B vanishes unless D = 0,1 mod 4.
+``B`` computes one cell and ``b_grid`` a box.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .congruence import DomainError, divisors, sqrt_count, squarefree_split
+from .congruence import DomainError, level_grid, level_sum, sqrt_count
 from .cube import Cube, discriminant, form1, form2
 
 
@@ -105,18 +101,9 @@ def cube_from_pair(pair: CongruencePair) -> Cube:
     return cube_from_invariants(pair.D, pair.m, pair.n, pair.x, pair.y)
 
 
-def b_term(D: int, d: int, m: int, n: int) -> int:
-    """One divisor level of B: d * A(D/d^2, 4m/d) * A(D/d^2, 4n/d).
-
-    Zero unless d divides gcd(D1, m, n) where D = D0 * D1^2.
-    """
-    if d < 1:
-        raise DomainError("divisor level must be positive")
-    _, d1 = squarefree_split(D)
-    if math.gcd(d1, m, n) % d:
-        return 0
-    dd = D // (d * d)
-    return d * sqrt_count(dd, 4 * m // d) * sqrt_count(dd, 4 * n // d)
+def _root_count(dd: int, k: int) -> int:
+    """The local factor of B: A(dd, 4k)."""
+    return sqrt_count(dd, 4 * k)
 
 
 def B(D: int, m: int, n: int) -> int:
@@ -127,40 +114,16 @@ def B(D: int, m: int, n: int) -> int:
     """
     if D == 0 or m == 0 or n == 0:
         raise DomainError("B needs nonzero D, m, n")
-    m, n = abs(m), abs(n)
     if D % 4 not in (0, 1):
         return 0
-    _, d1 = squarefree_split(D)
-    total = 0
-    for d in divisors(math.gcd(d1, m, n)):
-        dd = D // (d * d)
-        total += d * sqrt_count(dd, 4 * m // d) * sqrt_count(dd, 4 * n // d)
-    return total
+    return level_sum(D, abs(m), abs(n), _root_count)
 
 
 def b_grid(D: int, M: int) -> list[list[int]]:
     """Grid of B(D, m, n) for 1 <= m, n <= M; index [m][n], row/col 0 unused.
 
-    Summed from the level vectors A_d[m] (see the module docstring), with no
-    gcd or divisor list per cell; all zero unless D = 0,1 mod 4, D != 0.
+    All zero unless D = 0,1 mod 4, D != 0.
     """
-    levels = []
-    if D != 0 and D % 4 in (0, 1):
-        _, d1 = squarefree_split(D)
-        for d in divisors(d1):
-            if d > M:
-                break
-            dd = D // (d * d)
-            A = [0] * (M + 1)
-            for k in range(1, M // d + 1):
-                A[d * k] = sqrt_count(dd, 4 * k)
-            levels.append((d, A))
-    grid = []
-    for m in range(M + 1):
-        row = [0] * (M + 1)
-        for d, A in levels:
-            if A[m]:
-                scale = d * A[m]
-                row = [r + scale * a for r, a in zip(row, A)]
-        grid.append(row)
-    return grid
+    if D == 0 or D % 4 not in (0, 1):
+        return [[0] * (M + 1) for _ in range(M + 1)]
+    return level_grid(D, M, _root_count)

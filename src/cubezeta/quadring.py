@@ -47,7 +47,7 @@ from .congruence import (
 )
 from .cube import BinaryQuadraticForm, Cube, form1, form2, is_semistable
 from .identities import IdentityReport
-from .orbits import B
+from .orbits import B, b_grid
 
 
 @dataclass(frozen=True)
@@ -247,10 +247,9 @@ def fiber_sums(D: int, a1: int, a2: int, firsts, seconds) -> tuple[int, int]:
     return sigma_sum, exact_sum
 
 
-def _thm13_cell(D: int, a1: int, a2: int, firsts, seconds) -> tuple[str, dict]:
-    """Status of one cell, by its two aggregates next to B(D, a1, a2)."""
+def _thm13_cell(D: int, a1: int, a2: int, firsts, seconds, b_value) -> tuple[str, dict]:
+    """Status of one cell, by its two aggregates next to b_value = B(D, a1, a2)."""
     sigma_sum, exact_sum = fiber_sums(D, a1, a2, firsts, seconds)
-    b_value = B(D, a1, a2)
     status = (
         "mismatch" if exact_sum != b_value
         else "known_constant_fiber_discrepancy" if sigma_sum != b_value
@@ -275,7 +274,7 @@ def verify_thm13(D: int, a1: int, a2: int) -> IdentityReport:
     if a1 < 1 or a2 < 1:
         raise RangeError("norms must be positive")
     firsts, seconds = _oriented_classes(D, a1), _oriented_classes(D, a2)
-    status, sums = _thm13_cell(D, a1, a2, firsts, seconds)
+    status, sums = _thm13_cell(D, a1, a2, firsts, seconds, B(D, a1, a2))
     params = {"D": D, "a1": a1, "a2": a2}
     if status == "equal":
         return IdentityReport("thm13", params, status, None)
@@ -302,17 +301,18 @@ _CONSTANT_FIBER_NOTE = (
 def verify_thm13_scan(D: int, amax: int) -> IdentityReport:
     """``verify_thm13`` over every cell a1, a2 <= amax of one discriminant.
 
-    The classes of each norm are enumerated once.  The first cell, in
-    (a1, a2) order, whose per-pair sum differs from B is reported as a
-    mismatch; otherwise the first whose constant-fiber sum differs from B
-    is reported as the known discrepancy.
+    The classes of each norm are enumerated once and B is read from one
+    ``b_grid``.  The first cell, in (a1, a2) order, whose per-pair sum
+    differs from B is reported as a mismatch; otherwise the first whose
+    constant-fiber sum differs from B is reported as the known discrepancy.
     """
     params = {"D": D, "amax": amax}
     per_norm = {a: _oriented_classes(D, a) for a in range(1, amax + 1)}
+    b = b_grid(D, amax)
     first_known = None
     for a1 in range(1, amax + 1):
         for a2 in range(1, amax + 1):
-            status, sums = _thm13_cell(D, a1, a2, per_norm[a1], per_norm[a2])
+            status, sums = _thm13_cell(D, a1, a2, per_norm[a1], per_norm[a2], b[a1][a2])
             if status == "mismatch":
                 return IdentityReport(
                     "thm13", params, status, {"a1": a1, "a2": a2, **sums},

@@ -3,10 +3,9 @@
 The building block is the prime-power coefficient
 a_pp(p, k, l) = p^(min(k,l)/2) when min(k, l) is even, else 0; the global
 coefficient a(D, m) is the product over primes of a_pp at the valuations of
-|D| and m.  The three-variable coefficient combines two copies across the
-divisor levels of the square part of D:
-
-    a3(D, m, n) = sum_{d | gcd(D1, m, n)} d * a(D/d^2, m/d) * a(D/d^2, n/d).
+|D| and m.  The three-variable coefficient a3(D, m, n) is the divisor-level
+sum of ``congruence`` with local factor a(D', k), the same sum as the orbit
+count B; ``a_coeff3`` computes one cell and ``a3_grid`` a box.
 
 The twisted coefficient multiplies in the quadratic character of D evaluated
 on the part of m coprime to the squarefree part of D.
@@ -14,17 +13,7 @@ on the part of m coprime to the squarefree part of D.
 
 from __future__ import annotations
 
-import math
-
-from .congruence import (
-    DomainError,
-    chi,
-    divisors,
-    factorize,
-    hat,
-    squarefree_split,
-    valuation,
-)
+from .congruence import DomainError, chi, factorize, hat, level_grid, level_sum, valuation
 
 
 def a_pp(p: int, k: int, l: int) -> int:
@@ -51,17 +40,15 @@ def a_coeff(D: int, m: int) -> int:
 
 
 def a_coeff3(D: int, m: int, n: int) -> int:
-    """Three-variable coefficient: divisor-level sum of products of a_coeff."""
+    """Three-variable coefficient a3(D, m, n): the level sum of a_coeff."""
     if D == 0 or m < 1 or n < 1:
         raise DomainError("a_coeff3 needs D != 0 and m, n >= 1")
-    _, d1 = squarefree_split(D)
-    total = 0
-    for d in divisors(math.gcd(d1, m, n)):
-        dd = D // (d * d)
-        term = a_coeff(dd, m // d)
-        if term:
-            total += d * term * a_coeff(dd, n // d)
-    return total
+    return level_sum(D, m, n, a_coeff)
+
+
+def a3_grid(D: int, M: int) -> list[list[int]]:
+    """Grid of a3(D, m, n) for 1 <= m, n <= M (D != 0); index [m][n], row/col 0 zero."""
+    return level_grid(D, M, a_coeff)
 
 
 def tilde_a(D: int, m: int) -> int:

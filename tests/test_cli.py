@@ -185,6 +185,19 @@ def test_zeta_value_and_warning(capsys):
     assert "convergence" in err or "heuristic" in err
 
 
+@pytest.mark.parametrize("command, flag, empty", [
+    (("table", "B", "--Mmax", "3"), "--Dmax", "D,m,n,B\n"),
+    (("table", "a3", "--Dmax", "5"), "--Mmax", "D,m,n,a,chi_m,chi_n\n"),
+    (("zeta", "--s1", "2", "--s2", "2", "--w", "2", "--Mmax", "3"), "--Dmax", "0\n"),
+    (("zeta", "--s1", "2", "--s2", "2", "--w", "2", "--Dmax", "5"), "--Mmax", "0\n"),
+], ids=["table-B-Dmax", "table-a3-Mmax", "zeta-Dmax", "zeta-Mmax"])
+def test_range_commands_reject_a_negative_box(capsys, command, flag, empty):
+    error = "error: --Dmax and --Mmax must be nonnegative\n"
+    assert run(capsys, *command, flag, "-3") == (2, "", error)
+    # a zero bound is an empty box, not an error
+    assert run(capsys, *command, flag, "0") == (0, empty, "")
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code = main(["table", "B", "--Dmax", "5", "--Mmax", "2", "--output", str(target)])

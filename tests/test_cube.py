@@ -15,6 +15,7 @@ from cubezeta.cube import (
     OracleCount,
     _key_bits,
     _slice_enumerate,
+    _slice_roots,
     act,
     act_word,
     cube_from_json,
@@ -183,7 +184,7 @@ def test_slice_enumeration_is_complete_in_small_boxes():
     assert all(1 << _key_bits(R) > 4 * R for R in range(1, 300))
     boxes = ((5, 1, 1, 3), (45, 3, 3, 4), (-4, 1, 1, 3), (12, 2, 1, 3), (5, 1, 2, 3))
     for D, m, n, R in boxes:
-        keys, maxabs = _slice_enumerate(D, m, n, R)
+        keys, maxabs = _slice_enumerate(D, m, n, R, _slice_roots(D, m, n))
         produced = [decode_key(key, _key_bits(R)) for key in keys]
         assert maxabs == [max(abs(v) for v in c) for c in produced]
         assert len(set(produced)) == len(produced), (D, m, n, R)
@@ -209,7 +210,7 @@ def tuple_graph_oracle(D, m, n, entry_bound, slack):
     whenever some cube has the invariants, i.e. D is a square mod 4m and 4n.
     """
     R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
-    keys, _ = _slice_enumerate(D, m, n, R + slack + 1)
+    keys, _ = _slice_enumerate(D, m, n, R + slack + 1, _slice_roots(D, m, n))
     half = [decode_key(key, _key_bits(R + slack + 1)) for key in keys]
     # the set makes cubes_enumerated differ from the oracle's if a cube repeats
     cubes = sorted(set(half) | {tuple(-v for v in c) for c in half})

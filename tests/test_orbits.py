@@ -9,11 +9,11 @@ from cubezeta.cube import forms, invariants, is_semistable
 from cubezeta.orbits import (
     B,
     b_grid,
-    b_term,
     congruence_pairs,
     cube_from_invariants,
     cube_from_pair,
 )
+from cubezeta.wmds import a3_grid, a_coeff3
 
 discs = st.integers(min_value=-99, max_value=99).filter(
     lambda D: D != 0 and D % 4 in (0, 1)
@@ -87,31 +87,22 @@ def test_B_symmetric_and_sign_blind(D, m, n):
     assert B(D, m, n) == B(D, -m, n) == B(D, m, -n)
 
 
-@given(discs, sides, sides)
-@settings(max_examples=150)
-def test_B_decomposes_into_divisor_terms(D, m, n):
-    total = sum(b_term(D, d, m, n) for d in range(1, min(m, n) + 1))
-    assert total == B(D, m, n)
-
-
-def test_b_term_vanishes_off_divisor_levels():
-    # 2 does not divide gcd(D1, m, n) for D = 5 (D1 = 1)
-    assert b_term(5, 2, 2, 2) == 0
-    assert b_term(45, 3, 3, 3) == 3 * sqrt_count(5, 4) * sqrt_count(5, 4)
-
-
-def b_grid_pointwise(D, M):
-    if D % 4 not in (0, 1):
-        return [[0] * (M + 1) for _ in range(M + 1)]
+def pointwise(cell, D, M):
     return [[0] * (M + 1)] + [
-        [0] + [B(D, m, n) for n in range(1, M + 1)] for m in range(1, M + 1)
+        [0] + [cell(D, m, n) for n in range(1, M + 1)] for m in range(1, M + 1)
     ]
+
+
+def assert_grids_match_pointwise(D, M):
+    # B by its grid and cell by cell; a3, the same level sum with a_coeff
+    assert b_grid(D, M) == pointwise(B, D, M), D
+    assert a3_grid(D, M) == pointwise(a_coeff3, D, M), D
 
 
 def test_b_grid_matches_pointwise():
     for D in range(-300, 301):
         if D:
-            assert b_grid(D, 40) == b_grid_pointwise(D, 40), D
+            assert_grids_match_pointwise(D, 40)
 
 
 @given(st.integers(min_value=-40, max_value=40).filter(bool),
@@ -119,12 +110,4 @@ def test_b_grid_matches_pointwise():
 @settings(max_examples=60, deadline=None)
 def test_b_grid_matches_pointwise_with_square_factors(D0, k):
     # D1 = k * (the square part of D0) has several divisor levels d <= M
-    D = D0 * k * k
-    assert b_grid(D, 40) == b_grid_pointwise(D, 40)
-
-
-@given(discs, sides, sides)
-@settings(max_examples=120)
-def test_pairs_count_level_one_term(D, m, n):
-    # the d = 1 term of B counts exactly the four sign classes of pairs
-    assert b_term(D, 1, m, n) == sqrt_count(D, 4 * m) * sqrt_count(D, 4 * n)
+    assert_grids_match_pointwise(D0 * k * k, 40)
