@@ -77,6 +77,7 @@ from .quadring import (
     fiber_sums,
     form_from_class,
     ideal_class_pairs,
+    level_counts,
     pair_fiber,
     pair_from_cube,
     ring_ideal_from_form,

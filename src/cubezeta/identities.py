@@ -43,6 +43,7 @@ from .congruence import (
     RangeError,
     chi,
     discriminant_data,
+    fundamental_discriminant,
     hat,
     kronecker,
     mobius,
@@ -87,26 +88,31 @@ def convolve_bi(H, g1: Coeffs, g2: Coeffs):
     """Per-variable Dirichlet convolution of a grid H[m][n] by g1, g2.
 
     Returns H'[m][n] = sum_{d1 | m, d2 | n} g1[d1] g2[d2] H[m/d1][n/d2].
+    All-zero rows, and so an all-zero grid, are skipped.
     """
     M = len(H) - 1
+    rows = [q for q in range(1, M + 1) if any(H[q])]
     mid = [[0] * (M + 1) for _ in range(M + 1)]
     for d in range(1, M + 1):
         gd = g1[d]
         if gd == 0:
             continue
-        for q in range(1, M // d + 1):
+        for q in rows:
+            if d * q > M:
+                break
             row = H[q]
             tgt = mid[d * q]
             for n in range(1, M + 1):
                 if row[n]:
                     tgt[n] += gd * row[n]
+    rows = [m for m in range(1, M + 1) if any(mid[m])]
     out = [[0] * (M + 1) for _ in range(M + 1)]
     for d in range(1, M + 1):
         gd = g2[d]
         if gd == 0:
             continue
         for q in range(1, M // d + 1):
-            for m in range(1, M + 1):
+            for m in rows:
                 v = mid[m][q]
                 if v:
                     out[m][d * q] += gd * v
@@ -143,8 +149,9 @@ def _series_zeta_odd_2s_inverse(M: int) -> Coeffs:
 
 def _series_l_chi(d: int, M: int) -> Coeffs:
     out = coeffs_zero(M)
+    dstar = fundamental_discriminant(d)
     for n in range(1, M + 1):
-        out[n] = chi(d, n)
+        out[n] = kronecker(dstar, n)
     return out
 
 

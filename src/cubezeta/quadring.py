@@ -23,9 +23,11 @@ Fibers of the cube-to-pair map:
   the per-pair count aggregates to the orbit count B(D, a1, a2)
   everywhere.
 
-``fiber_sums`` computes both aggregates of one cell from its two class
-lists, the per-pair one as sum_{d | g} d * N1(d) * N2(d) over the divisor
-levels d of g = gcd(D1, a1, a2).  ``verify_thm13`` checks one cell and
+``level_counts`` counts, per norm a and divisor level d | gcd(D1, a), the
+classes N(d) that pass the depressed congruence at d, and ``fiber_sums``
+computes both aggregates of one cell from the counts of its two norms, the
+per-pair one as sum_{d | g} d * N1(d) * N2(d) over the divisor levels d of
+g = gcd(D1, a1, a2).  ``verify_thm13`` checks one cell and
 ``verify_thm13_scan`` every cell a1, a2 <= amax of one discriminant; both
 compare the two sums with B by the same status rule.
 """
@@ -228,28 +230,32 @@ def pair_fiber(pair: IdealClassPair) -> int:
     )
 
 
-def fiber_sums(D: int, a1: int, a2: int, firsts, seconds) -> tuple[int, int]:
-    """(constant-fiber sum, per-pair sum) over firsts x seconds, g = gcd(D1, a1, a2).
+def level_counts(D: int, D1: int, a: int) -> dict:
+    """{d: N(d)} over d | gcd(D1, a): the classes of norm a > 0, in both
+    orientations, that pass the depressed congruence at d.
 
-    firsts and seconds are the classes of norms a1 and a2.  The constant-fiber
-    sum is sigma_1(g) |firsts| |seconds|; the sum of ``pair_fiber`` is taken by
-    divisor levels, sum_{d | g} d N1(d) N2(d), N_i(d) counting the classes of
-    slot i that pass the depressed congruence at d.
+    N(1) counts every class.  The classes are scanned directly, so the
+    counts do not go through ``sqrt_count``.
     """
-    g = math.gcd(squarefree_split(D)[1], a1, a2)
-    sigma_sum = sigma1(g) * len(firsts) * len(seconds)
-    exact_sum = sum(
-        d
-        * sum(_depressed(c, d, D) for c in firsts)
-        * sum(_depressed(c, d, D) for c in seconds)
-        for d in divisors(g)
-    )
+    classes = _oriented_classes(D, a)
+    return {d: sum(_depressed(c, d, D) for c in classes) for d in divisors(math.gcd(D1, a))}
+
+
+def fiber_sums(g: int, counts1: dict, counts2: dict) -> tuple[int, int]:
+    """(constant-fiber sum, per-pair sum) of one cell, g = gcd(D1, a1, a2).
+
+    counts1 and counts2 are the ``level_counts`` of norms a1 and a2.  The
+    constant-fiber sum is sigma_1(g) N1(1) N2(1); the sum of ``pair_fiber``
+    over the cell's pairs is taken by divisor levels, sum_{d | g} d N1(d) N2(d).
+    """
+    sigma_sum = sigma1(g) * counts1[1] * counts2[1]
+    exact_sum = sum(d * counts1[d] * counts2[d] for d in divisors(g))
     return sigma_sum, exact_sum
 
 
-def _thm13_cell(D: int, a1: int, a2: int, firsts, seconds, b_value) -> tuple[str, dict]:
+def _thm13_cell(g: int, counts1: dict, counts2: dict, b_value: int) -> tuple[str, dict]:
     """Status of one cell, by its two aggregates next to b_value = B(D, a1, a2)."""
-    sigma_sum, exact_sum = fiber_sums(D, a1, a2, firsts, seconds)
+    sigma_sum, exact_sum = fiber_sums(g, counts1, counts2)
     status = (
         "mismatch" if exact_sum != b_value
         else "known_constant_fiber_discrepancy" if sigma_sum != b_value
@@ -273,12 +279,13 @@ def verify_thm13(D: int, a1: int, a2: int) -> IdentityReport:
     """
     if a1 < 1 or a2 < 1:
         raise RangeError("norms must be positive")
-    firsts, seconds = _oriented_classes(D, a1), _oriented_classes(D, a2)
-    status, sums = _thm13_cell(D, a1, a2, firsts, seconds, B(D, a1, a2))
+    D1 = discriminant_data(D).D1
+    counts1, counts2 = level_counts(D, D1, a1), level_counts(D, D1, a2)
+    status, sums = _thm13_cell(math.gcd(D1, a1, a2), counts1, counts2, B(D, a1, a2))
     params = {"D": D, "a1": a1, "a2": a2}
     if status == "equal":
         return IdentityReport("thm13", params, status, None)
-    detail = {"pairs": len(firsts) * len(seconds), **sums}
+    detail = {"pairs": counts1[1] * counts2[1], **sums}
     if status == "mismatch":
         return IdentityReport("thm13", params, status, detail, (_MISMATCH_NOTE,))
     finding = (
@@ -301,18 +308,21 @@ _CONSTANT_FIBER_NOTE = (
 def verify_thm13_scan(D: int, amax: int) -> IdentityReport:
     """``verify_thm13`` over every cell a1, a2 <= amax of one discriminant.
 
-    The classes of each norm are enumerated once and B is read from one
-    ``b_grid``.  The first cell, in (a1, a2) order, whose per-pair sum
-    differs from B is reported as a mismatch; otherwise the first whose
-    constant-fiber sum differs from B is reported as the known discrepancy.
+    D1 is split off once, the ``level_counts`` of each norm are taken once,
+    and B is read from one ``b_grid``.  The first cell, in (a1, a2) order,
+    whose per-pair sum differs from B is reported as a mismatch; otherwise
+    the first whose constant-fiber sum differs from B is reported as the
+    known discrepancy.
     """
     params = {"D": D, "amax": amax}
-    per_norm = {a: _oriented_classes(D, a) for a in range(1, amax + 1)}
+    D1 = discriminant_data(D).D1
+    counts = {a: level_counts(D, D1, a) for a in range(1, amax + 1)}
     b = b_grid(D, amax)
     first_known = None
     for a1 in range(1, amax + 1):
         for a2 in range(1, amax + 1):
-            status, sums = _thm13_cell(D, a1, a2, per_norm[a1], per_norm[a2], b[a1][a2])
+            g = math.gcd(D1, a1, a2)
+            status, sums = _thm13_cell(g, counts[a1], counts[a2], b[a1][a2])
             if status == "mismatch":
                 return IdentityReport(
                     "thm13", params, status, {"a1": a1, "a2": a2, **sums},

@@ -11,8 +11,16 @@ from pathlib import Path
 import pytest
 
 import cubezeta
-from cubezeta.cli import main
+from cubezeta.cli import (
+    _TABLE_CROSSOVER,
+    _discriminants,
+    _map_ordered,
+    _row_chunk_B,
+    _workers,
+    main,
+)
 from cubezeta.orbits import B
+from cubezeta.quadring import verify_thm13_scan
 
 
 def run(capsys, *argv):
@@ -64,13 +72,18 @@ def test_orbits_oracle_negative_box_exits_2(capsys):
         assert "nonnegative" in err
 
 
-def oracle_sweep(*argv):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "oracle_sweep.py"
+def python_with_src(*args) -> subprocess.CompletedProcess:
+    """Run the interpreter on args with this checkout's src on PYTHONPATH."""
     src = str(Path(cubezeta.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, str(script), *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def oracle_sweep(*argv):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "oracle_sweep.py"
+    return python_with_src(str(script), *argv)
 
 
 def test_oracle_sweep_rejects_bad_ranges_with_exit_2():
@@ -208,9 +221,48 @@ def test_output_flag_writes_file(tmp_path, capsys):
 
 
 def test_thread_count_does_not_change_output(capsys):
-    _, out1, _ = run(capsys, "table", "B", "--Dmax", "20", "--Mmax", "3", "--threads", "1")
-    _, out2, _ = run(capsys, "table", "B", "--Dmax", "20", "--Mmax", "3", "--threads", "2")
-    assert out1 == out2
+    # 300 discriminants times a 32 x 32 box, 307,200 rows, start a pool at --threads 2
+    assert 300 * 32 * 32 >= _TABLE_CROSSOVER > 20 * 3 * 3
+    for Dmax, Mmax in ("20", "3"), ("300", "32"):
+        argv = ("table", "B", "--Dmax", Dmax, "--Mmax", Mmax)
+        _, out1, _ = run(capsys, *argv, "--threads", "1")
+        _, out2, _ = run(capsys, *argv, "--threads", "2")
+        assert out1 == out2 and out1.count("\n") == 1 + int(Dmax) * int(Mmax) ** 2
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["count", "A", "--d", "5", "--a", "4"],
+    ["table", "B", "--Dmax", "20", "--Mmax", "3", "--threads", "2"],
+], ids=["import", "count-A", "small-table-threads-2"])
+def test_one_process_commands_never_load_multiprocessing(argv):
+    code = (
+        "import sys\n"
+        "from cubezeta.cli import main\n"
+        f"argv = {argv!r}\n"
+        "assert argv is None or main(argv) == 0\n"
+        "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+        "print(sorted(name for name in pool if name in sys.modules), file=sys.stderr)\n"
+    )
+    proc = python_with_src("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
+
+
+def test_workers_fan_out_only_from_the_crossover():
+    assert _workers(4, _TABLE_CROSSOVER - 1) == 1
+    assert _workers(4, _TABLE_CROSSOVER) == 4
+    assert _workers(1, 10 * _TABLE_CROSSOVER) == 1
+
+
+def test_process_pool_keeps_results_in_order():
+    # 96 discriminants make 16 batches of 6, more than the 4 held in flight
+    table = [(D, 5) for D in _discriminants(96)]
+    assert list(_map_ordered(_row_chunk_B, table, 2)) == [_row_chunk_B(*item) for item in table]
+    scans = [(D, 4) for D in _discriminants(12)]
+    assert list(_map_ordered(verify_thm13_scan, scans, 2)) == [
+        verify_thm13_scan(*item) for item in scans
+    ]
 
 
 @pytest.mark.parametrize("argv", [

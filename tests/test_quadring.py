@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubezeta.congruence import DomainError, RangeError, is_discriminant, sqrt_count
+from cubezeta.congruence import (
+    DomainError,
+    RangeError,
+    is_discriminant,
+    sqrt_count,
+    squarefree_split,
+)
 from cubezeta.cube import BinaryQuadraticForm, Cube, act_word, is_semistable, shear1, shear2, sl2
 from cubezeta.orbits import B
 from cubezeta.quadring import (
@@ -20,10 +27,12 @@ from cubezeta.quadring import (
     fiber_sums,
     form_from_class,
     ideal_class_pairs,
+    level_counts,
     pair_fiber,
     pair_from_cube,
     ring_ideal_from_form,
     verify_thm13,
+    verify_thm13_scan,
 )
 
 discriminants = st.integers(min_value=-200, max_value=200).filter(is_discriminant)
@@ -166,11 +175,37 @@ def test_fiber_sums_match_the_per_pair_and_constant_aggregates():
     for D in range(-60, 61):
         if not is_discriminant(D):
             continue
-        classes = {a: classes_with_norm(D, -a) + classes_with_norm(D, a) for a in range(1, 13)}
+        D1 = squarefree_split(D)[1]
+        counts = {a: level_counts(D, D1, a) for a in range(1, 13)}
         for a1 in range(1, 13):
             for a2 in range(1, 13):
                 pairs = ideal_class_pairs(D, a1, a2)
-                assert fiber_sums(D, a1, a2, classes[a1], classes[a2]) == (
+                assert fiber_sums(math.gcd(D1, a1, a2), counts[a1], counts[a2]) == (
                     fiber_count(D, a1, a2) * len(pairs),
                     sum(pair_fiber(p) for p in pairs),
                 ), (D, a1, a2)
+
+
+def test_verify_thm13_scan_matches_the_single_cell_check():
+    """Each scan of the square a1, a2 <= amax reports what the per-cell checks give.
+
+    Its status is the worst per-cell status, and its first_mismatch is the
+    first non-equal cell in (a1, a2) order with that cell's two sums and B.
+    """
+    rank = {"equal": 0, "known_constant_fiber_discrepancy": 1, "mismatch": 2}
+    for D in range(-60, 61):
+        if not is_discriminant(D):
+            continue
+        cells = {(a1, a2): verify_thm13(D, a1, a2) for a1 in range(1, 13) for a2 in range(1, 13)}
+        for amax in range(1, 13):
+            square = [(cell, rep) for cell, rep in sorted(cells.items()) if max(cell) <= amax]
+            scan = verify_thm13_scan(D, amax)
+            status = max((rep.status for _, rep in square), key=rank.get)
+            assert scan.status == status, (D, amax)
+            first = next(((cell, rep) for cell, rep in square if rep.status == status), None)
+            if status == "equal":
+                assert scan.first_mismatch is None
+                continue
+            (a1, a2), rep = first
+            sums = {k: v for k, v in rep.first_mismatch.items() if k != "pairs"}
+            assert scan.first_mismatch == {"a1": a1, "a2": a2, **sums}, (D, amax)
