@@ -20,7 +20,6 @@ from .congruence import (
     is_fundamental,
     kronecker,
     sigma1,
-    siegel_factor_check,
     sqrt_count,
     sqrt_count_direct,
     sqrt_roots,
@@ -57,6 +56,7 @@ from .identities import (
     verify_cor24,
     verify_prop21,
     verify_prop25,
+    verify_siegel,
     verify_thm12,
 )
 from .orbits import B, CongruencePair, b_grid, congruence_pairs, cube_from_invariants

@@ -47,17 +47,15 @@ from .congruence import (
     chi,
     factorize,
     hat,
-    siegel_factor_check,
     sqrt_count,
-    valuation,
 )
 from .cube import orbit_count_oracle
 from .identities import (
-    IdentityReport,
     partial_sum,
     verify_cor24,
     verify_prop21,
     verify_prop25,
+    verify_siegel,
     verify_thm12,
 )
 from .orbits import B, b_grid, congruence_pairs, cube_from_pair
@@ -174,6 +172,7 @@ def _emit(lines: list, output: str | None) -> None:
 
 
 def _require(params: dict, *names: str) -> list:
+    """The flags of ``count`` that its value needs, which argparse cannot require."""
     missing = [name for name in names if params.get(name) is None]
     if missing:
         raise UsageError("missing required flag(s): " + ", ".join(f"--{m}" for m in missing))
@@ -182,7 +181,7 @@ def _require(params: dict, *names: str) -> list:
 
 def _box(params: dict) -> list:
     """--Dmax and --Mmax of a range command; a negative one is a usage error."""
-    Dmax, Mmax = _require(params, "Dmax", "Mmax")
+    Dmax, Mmax = params["Dmax"], params["Mmax"]
     if Dmax < 0 or Mmax < 0:
         raise UsageError("--Dmax and --Mmax must be nonnegative")
     return [Dmax, Mmax]
@@ -225,57 +224,15 @@ def _siegel_cells(Dmax: int) -> list:
     ]
 
 
-def _siegel_report(cell: tuple, T: int) -> IdentityReport:
-    """The p-part check of d at p, to degree at least max(T, v_p(d) + 4)."""
-    d, p = cell
-    T = max(T, valuation(d, p) + 4)
-    while p**T >= 2**63:  # keep the modulus p^T factorizable
-        T -= 1
-    rep = siegel_factor_check(d, p, T)
-    params = {"d": d, "p": p, "T": T}
-    if rep.equal:
-        return IdentityReport("siegel", params, "equal", None)
-    l = rep.first_mismatch
-    return IdentityReport(
-        "siegel", params, "mismatch",
-        {"l": l, "lhs": rep.lhs[l], "rhs": rep.rhs[l]},
-    )
-
-
-def _thm44_reports(kmax: int) -> list:
-    poly_rep = thm44_check(kmax)
-    spec_rep = specialization_check(min(kmax, 6))
-    return [
-        IdentityReport(
-            "thm44", {"kmax": kmax, "route": "polynomial"},
-            "equal" if poly_rep.equal else "mismatch",
-            None if poly_rep.equal else {
-                "index": list(poly_rep.first_mismatch),
-                "lhs": list(poly_rep.lhs),
-                "rhs": list(poly_rep.rhs),
-            },
-        ),
-        IdentityReport(
-            "thm44",
-            {
-                "kmax": spec_rep.K,
-                "route": "specialization",
-                "primes": list(spec_rep.primes),
-            },
-            "equal" if spec_rep.equal else "mismatch",
-            spec_rep.first_mismatch,
-        ),
-    ]
-
-
-# identity: (verifier, its instances for --Dmax, the flag passed as its size)
+# identity: (verifier, its instances for --Dmax, the flag passed as its size);
+# an instance is the verifier's first argument, or a tuple of its first ones
 _RANGE_CHECKS = {
     "prop21": (verify_prop21, _discriminants, "M"),
     "cor24": (verify_cor24, _discriminants, "M"),
     "prop25": (verify_prop25, _odd_integers, "M"),
     "thm12": (verify_thm12, _odd_integers, "M"),
     "thm13": (verify_thm13_scan, _discriminants, "amax"),
-    "siegel": (_siegel_report, _siegel_cells, "T"),
+    "siegel": (verify_siegel, _siegel_cells, "T"),
 }
 
 
@@ -302,7 +259,7 @@ def _cmd_count(config: RunConfig) -> int:
 
 def _cmd_orbits(config: RunConfig) -> int:
     params = config.params
-    D, m, n = _require(params, "D", "m", "n")
+    D, m, n = params["D"], params["m"], params["n"]
     formula = B(D, m, n)
     lines = [f"B = {formula}"]
     code = 0
@@ -326,7 +283,7 @@ def _cmd_orbits(config: RunConfig) -> int:
 
 def _cmd_pairs(config: RunConfig) -> int:
     params = config.params
-    D, m, n = _require(params, "D", "m", "n")
+    D, m, n = params["D"], params["m"], params["n"]
     lines = []
     for pair in congruence_pairs(D, m, n):
         row = f"{pair.x} {pair.y} {pair.s} {pair.t}"
@@ -339,7 +296,7 @@ def _cmd_pairs(config: RunConfig) -> int:
 
 def _cmd_ppart(config: RunConfig) -> int:
     params = config.params
-    (kmax,) = _require(params, "kmax")
+    kmax = params["kmax"]
     if kmax < 0:
         raise UsageError("--kmax must be nonnegative")
     p = params.get("p")
@@ -410,10 +367,14 @@ def _verify_report(config: RunConfig) -> dict:
         return _aggregate_reports(identity, dict(report.params), [report])
     params = {**_VERIFY_DEFAULTS[identity], **given}
     if identity == "thm44":
-        reports = _thm44_reports(params["kmax"])
+        kmax = params["kmax"]
+        reports = [thm44_check(kmax), specialization_check(min(kmax, 6))]
     else:
         verifier, instances, size = _RANGE_CHECKS[identity]
-        items = [(x, params[size]) for x in instances(params["Dmax"])]
+        items = [
+            (*x, params[size]) if isinstance(x, tuple) else (x, params[size])
+            for x in instances(params["Dmax"])
+        ]
         reports = list(_map_ordered(verifier, items, config.threads))
     return _aggregate_reports(identity, params, reports)
 
@@ -439,7 +400,7 @@ def _cmd_table(config: RunConfig) -> int:
 
 def _cmd_zeta(config: RunConfig) -> int:
     params = config.params
-    s1, s2, w = _require(params, "s1", "s2", "w")
+    s1, s2, w = params["s1"], params["s2"], params["w"]
     Dmax, Mmax = _box(params)
     result = partial_sum(s1, s2, w, Dmax, Mmax)
     for warning in result.warnings:
@@ -450,7 +411,7 @@ def _cmd_zeta(config: RunConfig) -> int:
 
 def _cmd_moduli(config: RunConfig) -> int:
     params = config.params
-    D, a1, a2 = _require(params, "D", "a1", "a2")
+    D, a1, a2 = params["D"], params["a1"], params["a2"]
     lines = []
     for pair in ideal_class_pairs(D, a1, a2):
         lines.append(

@@ -8,9 +8,8 @@ is built on it.  ``sqrt_count_direct`` is the brute-force enumeration kept as
 an independent oracle.
 
 Also here: factorization into signed prime powers, the splitting
-``D = D0 * D1^2`` with ``D0`` squarefree, fundamental discriminants, the
-Kronecker character attached to a discriminant, and an exact checker for the
-closed-form generating function of ``sum_l sqrt_count(d, p^l) q^l``.
+``D = D0 * D1^2`` with ``D0`` squarefree, fundamental discriminants, and the
+Kronecker character attached to a discriminant.
 
 The orbit count B and the rank-3 coefficient a3 are one sum over the divisor
 levels d of D1 with a local factor L, sqrt_count(D', 4k) for B, a(D', k) for a3:
@@ -354,105 +353,3 @@ def hat(m: int, D: int) -> int:
         g = math.gcd(m, d0)
     return m
 
-
-# ---------------------------------------------------------------------------
-# Closed-form check for the prime-power generating series of sqrt_count
-# ---------------------------------------------------------------------------
-
-
-def _poly_mul(f: list[int], g: list[int], T: int) -> list[int]:
-    out = [0] * (T + 1)
-    for i, ci in enumerate(f):
-        if ci == 0 or i > T:
-            continue
-        for j, cj in enumerate(g):
-            if i + j > T:
-                break
-            out[i + j] += ci * cj
-    return out
-
-
-def _poly_add(f: list[int], g: list[int], T: int) -> list[int]:
-    out = [0] * (T + 1)
-    for i, ci in enumerate(f):
-        if i <= T:
-            out[i] += ci
-    for j, cj in enumerate(g):
-        if j <= T:
-            out[j] += cj
-    return out
-
-
-@dataclass(frozen=True)
-class SiegelFactorReport:
-    """Result of checking the closed form of sum_l sqrt_count(d,p^l) q^l."""
-
-    d: int
-    p: int
-    alpha: int
-    chi_p: int
-    T: int
-    equal: bool
-    first_mismatch: int | None
-    lhs: tuple[int, ...]
-    rhs: tuple[int, ...]
-
-
-def siegel_factor_check(d: int, p: int, T: int) -> SiegelFactorReport:
-    """Check the closed form of the p-part series of square-root counts.
-
-    For odd p the identity, with q a formal variable, chi_p the character of
-    d at p, and alpha the half-valuation of d/dstar at p, is
-
-        (1 - chi_p q) * sum_{l=0}^\\infty sqrt_count(d, p^l) q^l
-          = (1 + q) * [ p^alpha q^{2 alpha}
-                        + (1 - chi_p q) * sum_{l < alpha} p^l q^{2l} ].
-
-    For p = 2 (requires d = 0,1 mod 4) the first-difference series
-    F = sum_{l>=1} sqrt_count(d, 2^l) (q^{l-1} - q^l) satisfies
-
-        (1 - chi_2 q) * F
-          = (1 + chi_2)(1 - q)
-            + (1 - q^2)(2q - chi_2) * sum_{l=0}^{alpha} 2^l q^{2l}.
-
-    Both sides are compared as integer polynomials truncated at degree T
-    (the left side uses the direct coefficient counts; T >= v_p(d) + 4 so
-    the finite right side is never truncated).
-    """
-    if T < valuation(d, p) + 4:
-        raise RangeError("T must be at least v_p(d) + 4")
-    dstar = _field_dstar(d)
-    if p == 2:
-        if not is_discriminant(d):
-            raise DomainError("p = 2 requires d = 0 or 1 mod 4")
-        alpha = discriminant_data(d).alpha_map.get(2, 0)
-        chi_p = kronecker(dstar, 2)
-        counts = [sqrt_count(d, 2**l) for l in range(T + 2)]
-        F = [counts[1]] + [counts[j + 1] - counts[j] for j in range(1, T + 1)]
-        lhs = _poly_mul([1, -chi_p], F, T)
-        geom = [0] * (2 * alpha + 1)
-        for l in range(alpha + 1):
-            geom[2 * l] = 2**l
-        rhs = _poly_add(
-            [1 + chi_p, -(1 + chi_p)],
-            _poly_mul([1, 0, -1], _poly_mul([-chi_p, 2], geom, T), T),
-            T,
-        )
-    else:
-        _, d1 = squarefree_split(d)
-        alpha = valuation(d1, p)
-        chi_p = kronecker(dstar, p)
-        S = [sqrt_count(d, p**l) for l in range(T + 1)]
-        lhs = _poly_mul([1, -chi_p], S, T)
-        closed = [0] * (T + 1)
-        if 2 * alpha <= T:
-            closed[2 * alpha] += p**alpha
-        geom = [0] * max(1, 2 * alpha - 1)
-        for l in range(alpha):
-            geom[2 * l] = p**l
-        closed = _poly_add(closed, _poly_mul([1, -chi_p], geom, T), T)
-        rhs = _poly_mul([1, 1], closed, T)
-    first = next((i for i in range(T + 1) if lhs[i] != rhs[i]), None)
-    return SiegelFactorReport(
-        d, p, alpha, chi_p, T, first is None, first, tuple(lhs), tuple(rhs)
-    )

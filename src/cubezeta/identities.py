@@ -28,6 +28,12 @@ The checks:
   double convolution of the twisted rank-3 coefficients by
   (2 - 2*4^{-s}) zeta(s) in each variable; the same missing factor applies
   per variable and is handled the same way.
+* ``verify_siegel`` -- the closed form of the p-part series
+  sum_l A(d, p^l) q^l as a polynomial identity in q, for one prime p.
+
+Each local factor is a polynomial in q = p^{-s} built in one place: the odd
+p-factor, the 2-adic tail, the local data (alpha, chi) they read, and the
+placing of a q-polynomial on the powers of p.
 
 ``partial_sum`` evaluates truncations of the full three-variable sum
 sum_D sum_{m,n} B(D, m, n) m^{-s1} n^{-s2} |D|^{-w} in floats.
@@ -48,6 +54,7 @@ from .congruence import (
     kronecker,
     mobius,
     sqrt_count,
+    valuation,
 )
 from .orbits import b_grid
 from .wmds import a3_grid, a_coeff
@@ -173,44 +180,58 @@ def _series_p_tilde2(D: int, M: int) -> Coeffs:
     return coeffs_zero(M)
 
 
-def _dyadic_to_coeffs(poly: list, M: int) -> Coeffs:
-    """Place a polynomial in q = 2^{-s} onto the integers: q^j -> n = 2^j."""
+# ---------------------------------------------------------------------------
+# Local factors, as polynomials in q = p^{-s}
+# ---------------------------------------------------------------------------
+
+
+def _local_data(d: int, p: int) -> tuple[int, int]:
+    """(alpha, chi) of the discriminant d at the prime p.
+
+    p^(2 alpha) is the exact power of p dividing d/dstar, and chi = (dstar|p).
+    """
+    data = discriminant_data(d)
+    return data.alpha_map.get(p, 0), kronecker(data.dstar, p)
+
+
+def _odd_factor(p: int, alpha: int, chi_p: int) -> list:
+    """p^alpha q^{2 alpha} + (1 - chi q) sum_{l < alpha} p^l q^{2l}."""
+    poly = [0] * (2 * alpha + 1)
+    poly[2 * alpha] = p**alpha
+    for l in range(alpha):
+        poly[2 * l] += p**l
+        poly[2 * l + 1] -= chi_p * p**l
+    return poly
+
+
+def _two_tail(alpha: int, chi_2: int) -> list:
+    """(2q - chi) sum_{l <= alpha} 2^l q^{2l}, with q = 2^{-s}."""
+    poly = [0] * (2 * alpha + 2)
+    for l in range(alpha + 1):
+        poly[2 * l] = -chi_2 * 2**l
+        poly[2 * l + 1] = 2 * 2**l
+    return poly
+
+
+def _place(poly: list, p: int, M: int) -> Coeffs:
+    """A polynomial in q = p^{-s} as a Dirichlet series: q^j -> n = p^j."""
     out = coeffs_zero(M)
     n = 1
     for c in poly:
         if n > M:
             break
         out[n] = c
-        n *= 2
+        n *= p
     return out
 
 
-def _odd_part_series(d: int, M: int, data=None) -> Coeffs:
-    """Product over odd primes p of the closed-form p-factor of P(d, s).
-
-    Factor at p (alpha = alpha_p of d): p^alpha q^{2 alpha}
-    + (1 - chi_d(p) q) sum_{l < alpha} p^l q^{2l}, with q = p^{-s}.
-    """
-    data = data or discriminant_data(d)
+def _odd_part_series(d: int, M: int) -> Coeffs:
+    """Product over odd primes p of the closed-form p-factor of P(d, s)."""
     out = coeffs_zero(M)
     out[1] = 1
-    for p, alpha in sorted(data.alpha_map.items()):
-        if p == 2:
-            continue
-        chi_p = kronecker(data.dstar, p)
-        poly = [0] * (2 * alpha + 1)
-        poly[2 * alpha] += p**alpha
-        for l in range(alpha):
-            poly[2 * l] += p**l
-            poly[2 * l + 1] -= chi_p * p**l
-        fac = coeffs_zero(M)
-        n = 1
-        j = 0
-        while n <= M and j < len(poly):
-            fac[n] = poly[j]
-            n *= p
-            j += 1
-        out = convolve(out, fac)
+    for p in sorted(discriminant_data(d).alpha_map):
+        if p != 2:
+            out = convolve(out, _place(_odd_factor(p, *_local_data(d, p)), p, M))
     return out
 
 
@@ -223,26 +244,19 @@ def _printed_two_part(d: int, M: int) -> Coeffs:
     The middle term's denominator is the defect; direct counting requires
     (1 - q^2) there.
     """
-    data = discriminant_data(d)
-    alpha = data.alpha_map.get(2, 0)
-    c2 = kronecker(data.dstar, 2)
+    alpha, c2 = _local_data(d, 2)
     L = max(1, M.bit_length() + 2)
-    poly = [0] * (L + 3)
+    # q(2q - chi) sum_{l<=alpha} 2^l q^{2l}, with room for the two series below
+    poly = [0] + _two_tail(alpha, c2) + [0] * (L + 2)
     # q(1+chi)/(1+q) = (1+chi) * sum_{j>=1} (-1)^{j-1} q^j
     for j in range(1, L):
         poly[j] += (1 + c2) * (-1) ** (j - 1)
     # (1-q)(1-chi q)/(1+q^2): numerator [1, -(1+chi), chi] times sum (-1)^i q^{2i}
     num = [1, -(1 + c2), c2]
     for i in range(0, L, 2):
-        s = (-1) ** (i // 2)
         for e, c in enumerate(num):
-            if i + e < len(poly):
-                poly[i + e] += s * c
-    # q(2q - chi) sum_{l<=alpha} 2^l q^{2l}
-    for l in range(alpha + 1):
-        poly[2 * l + 1] += -c2 * 2**l
-        poly[2 * l + 2] += 2 * 2**l
-    return _dyadic_to_coeffs(poly, M)
+            poly[i + e] += (-1) ** (i // 2) * c
+    return _place(poly, 2, M)
 
 
 def _corrected_two_part(d: int, M: int) -> Coeffs:
@@ -250,50 +264,25 @@ def _corrected_two_part(d: int, M: int) -> Coeffs:
 
     1 + q(2q - chi) sum_{l <= alpha} 2^l q^{2l}  (q = 2^{-s}).
     """
-    data = discriminant_data(d)
-    alpha = data.alpha_map.get(2, 0)
-    c2 = kronecker(data.dstar, 2)
-    poly = [0] * (2 * alpha + 3)
-    poly[0] = 1
-    for l in range(alpha + 1):
-        poly[2 * l + 1] += -c2 * 2**l
-        poly[2 * l + 2] += 2 * 2**l
-    return _dyadic_to_coeffs(poly, M)
-
-
-def _p_prime_bracket(d: int) -> list:
-    """Bracket of the multiples-of-4 subseries' 2-adic factor, in q = 2^{-s}.
-
-    2q + (2q - chi) sum_{1 <= l <= alpha} 2^l q^{2l}; vanishes at q^0 but not
-    q^1, so only one power of 2^s (not two) can be absorbed.
-    """
-    data = discriminant_data(d)
-    alpha = data.alpha_map.get(2, 0)
-    c2 = kronecker(data.dstar, 2)
-    poly = [0] * (2 * alpha + 3)
-    poly[1] = 2
-    for l in range(1, alpha + 1):
-        poly[2 * l] += -c2 * 2**l
-        poly[2 * l + 1] += 2 * 2**l
-    return poly
+    return _place([1] + _two_tail(*_local_data(d, 2)), 2, M)
 
 
 def _series_p_siegel(d: int, M: int) -> Coeffs:
-    data = discriminant_data(d)
-    return convolve(_odd_part_series(d, M, data), _printed_two_part(d, M))
+    return convolve(_odd_part_series(d, M), _printed_two_part(d, M))
 
 
 def _series_p_prime(d: int, M: int) -> Coeffs:
     """Closed-form factor for the multiples-of-4 subseries (2^s-normalized).
 
-    The printed normalization multiplies the bracket by 4^s, which would put
-    coefficient mass at the non-integer index 1/2; this builder uses the
-    2^s normalization that makes the factor a genuine Dirichlet series (the
-    verifier reports the printed defect).
+    Its 2-adic bracket is 2q + (2q - chi) sum_{1 <= l <= alpha} 2^l q^{2l},
+    which is chi plus the 2-adic tail: it vanishes at q^0 but not at q^1.
+    The printed normalization multiplies it by 4^s, which would put
+    coefficient mass at the non-integer index 1/2; this builder multiplies
+    by 2^s (q^j -> q^{j-1}), which makes the factor a genuine Dirichlet
+    series (the verifier reports the printed defect).
     """
-    bracket = _p_prime_bracket(d)
-    shifted = bracket[1:]  # multiply by 2^s: q^j -> q^{j-1}; bracket[0] == 0
-    return convolve(_odd_part_series(d, M), _dyadic_to_coeffs(shifted, M))
+    shifted = _two_tail(*_local_data(d, 2))[1:]
+    return convolve(_odd_part_series(d, M), _place(shifted, 2, M))
 
 
 _STANDARD = {
@@ -423,6 +412,15 @@ def verify_prop21(d: int, M: int) -> IdentityReport:
     )
 
 
+# The 2-adic bracket of every d starts 2q (see _series_p_prime), so the
+# printed prefactor never holds and this finding goes with every report.
+_PREFACTOR_NOTE = (
+    "printed prefactor 4^s is off by 2^s: the 2-adic bracket is 2q + O(q^2) "
+    "(coefficient 2 at q^1), so 4^s times it has mass at the non-integer "
+    "index 1/2; using prefactor 2^s"
+)
+
+
 def verify_cor24(d: int, M: int) -> IdentityReport:
     """Check sum_a A(d, 4a) a^{-s} against its closed-form factorization.
 
@@ -436,31 +434,15 @@ def verify_cor24(d: int, M: int) -> IdentityReport:
     lhs = coeffs_zero(M)
     for a in range(1, M + 1):
         lhs[a] = sqrt_count(d, 4 * a)
-    findings = []
-    bracket = _p_prime_bracket(d)
-    if bracket[0] == 0 and bracket[1] != 0:
-        findings.append(
-            "printed prefactor 4^s is off by 2^s: the 2-adic bracket is "
-            f"2q + O(q^2) (coefficient {bracket[1]} at q^1), so 4^s times it "
-            "has mass at the non-integer index 1/2; using prefactor 2^s"
-        )
     rhs = convolve_many(
         _series_zeta2s_inverse(M),
         _series_zeta(M),
         _series_l_chi(d, M),
         _series_p_prime(d, M),
     )
-    first = next((n for n in range(1, M + 1) if lhs[n] != rhs[n]), None)
-    if first is None:
-        status = "known_p2_discrepancy" if findings else "equal"
-        return IdentityReport("cor24", {"d": d, "M": M}, status, None, tuple(findings))
-    return IdentityReport(
-        "cor24",
-        {"d": d, "M": M},
-        "mismatch",
-        {"n": first, "lhs": lhs[first], "rhs": rhs[first]},
-        tuple(findings),
-    )
+    mismatch = _first_mismatch(lhs, rhs)
+    status = "mismatch" if mismatch else "known_p2_discrepancy"
+    return IdentityReport("cor24", {"d": d, "M": M}, status, mismatch, (_PREFACTOR_NOTE,))
 
 
 _ODD_SQUARE_NOTE = (
@@ -493,13 +475,13 @@ def verify_prop25(D: int, M: int) -> IdentityReport:
     if D % 4 == 1:
         for m in range(1, M + 1):
             twisted[m] = chi(D, hat(m, D)) * a_coeff(D, m)
-    base = convolve(_series_p_tilde2(D, M), _series_zeta(M))
+    printed = convolve(convolve(_series_p_tilde2(D, M), _series_zeta(M)), twisted)
     return _printed_then_corrected(
         "prop25",
         {"D": D, "M": M},
         lhs,
-        convolve(base, twisted),
-        lambda: convolve(convolve(base, _series_zeta_odd_2s_inverse(M)), twisted),
+        printed,
+        lambda: convolve(printed, _series_zeta_odd_2s_inverse(M)),
         "known_odd_square_discrepancy",
         lambda _: _ODD_SQUARE_NOTE,
         "damped",
@@ -524,18 +506,79 @@ def verify_thm12(D: int, M: int) -> IdentityReport:
         a3 = a3_grid(D, M)
         H = [[cm * cn * a for cn, a in zip(chis, row)] for cm, row in zip(chis, a3)]
     factor = convolve(_series_p_tilde2(D, M), _series_zeta(M))
-    damped = convolve(factor, _series_zeta_odd_2s_inverse(M))
+    printed = convolve_bi(H, factor, factor)
+    damp = _series_zeta_odd_2s_inverse(M)
     return _printed_then_corrected(
         "thm12",
         {"D": D, "M": M},
         b_grid(D, M),
-        convolve_bi(H, factor, factor),
-        lambda: convolve_bi(H, damped, damped),
+        printed,
+        lambda: convolve_bi(printed, damp, damp),
         "known_odd_square_discrepancy",
         lambda _: _ODD_SQUARE_NOTE + " (applied once per variable)",
         "damped",
         find=_first_grid_mismatch,
     )
+
+
+def _poly_mul(f: list, g: list, T: int) -> list:
+    """Product of two integer polynomials, truncated at degree T."""
+    out = [0] * (T + 1)
+    for i, ci in enumerate(f[: T + 1]):
+        if ci:
+            for j, cj in enumerate(g[: T + 1 - i]):
+                out[i + j] += ci * cj
+    return out
+
+
+def verify_siegel(d: int, p: int, T: int) -> IdentityReport:
+    """Check the closed form of the p-part series of square-root counts.
+
+    For odd p the identity, with q a formal variable and (alpha, chi) the
+    local data of the discriminant d at p (see ``_local_data``), is
+
+        (1 - chi q) * sum_{l=0}^\\infty sqrt_count(d, p^l) q^l
+          = (1 + q) * [ p^alpha q^{2 alpha}
+                        + (1 - chi q) * sum_{l < alpha} p^l q^{2l} ].
+
+    For p = 2 the first-difference series
+    F = sum_{l>=1} sqrt_count(d, 2^l) (q^{l-1} - q^l) satisfies
+
+        (1 - chi q) * F
+          = (1 + chi)(1 - q) + (1 - q^2)(2q - chi) * sum_{l=0}^{alpha} 2^l q^{2l}.
+
+    Both sides are compared as integer polynomials truncated at degree T.
+    T is first raised to v_p(d) + 4, so the finite right side is never
+    truncated, then capped so that the largest modulus read (p^T, or
+    2^(T+1) for p = 2) is below 2^63; RangeError when that leaves it under
+    v_p(d) + 4.  The report's params carry the T used, and its first
+    mismatch the least degree l where the sides differ.
+    """
+    least = valuation(d, p) + 4
+    top = 0  # the largest degree whose modulus read is below 2^63
+    while p ** (top + 1 + (p == 2)) < 2**63:
+        top += 1
+    T = min(max(T, least), top)
+    if T < least:
+        raise RangeError("T must be at least v_p(d) + 4")
+    alpha, chi_p = _local_data(d, p)
+    if p == 2:
+        counts = [sqrt_count(d, 2**l) for l in range(T + 2)]
+        series = [counts[1]] + [counts[j + 1] - counts[j] for j in range(1, T + 1)]
+        rhs = _poly_mul([1, 0, -1], _two_tail(alpha, chi_p), T)
+        rhs[0] += 1 + chi_p
+        rhs[1] -= 1 + chi_p
+    else:
+        series = [sqrt_count(d, p**l) for l in range(T + 1)]
+        rhs = _poly_mul([1, 1], _odd_factor(p, alpha, chi_p), T)
+    lhs = _poly_mul([1, -chi_p], series, T)
+    params = {"d": d, "p": p, "T": T}
+    for l in range(T + 1):
+        if lhs[l] != rhs[l]:
+            return IdentityReport(
+                "siegel", params, "mismatch", {"l": l, "lhs": lhs[l], "rhs": rhs[l]}
+            )
+    return IdentityReport("siegel", params, "equal", None)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .congruence import DomainError
+from .identities import IdentityReport
+from .wmds import a_coeff3
 
 # ---------------------------------------------------------------------------
 # Polynomials in the formal prime p: tuples of ints, index = exponent
@@ -130,13 +132,6 @@ class TriSeries:
 
     def get(self, l: int, k: int, t: int) -> PolyCoeff:
         return self.coeffs[l][k][t]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TriSeries)
-            and self.K == other.K
-            and self.coeffs == other.coeffs
-        )
 
 
 def series_mul_geometric(
@@ -255,36 +250,14 @@ def f_a3_convolution(K: int) -> TriSeries:
     return out
 
 
-@dataclass(frozen=True)
-class PpartReport:
-    """Comparison of the closed-form and convolution routes."""
-
-    K: int
-    equal: bool
-    first_mismatch: tuple[int, int, int] | None
-    lhs: PolyCoeff | None
-    rhs: PolyCoeff | None
-
-
-@dataclass(frozen=True)
-class SpecializationReport:
-    """Closed form evaluated at integer primes vs the arithmetic coefficients."""
-
-    K: int
-    primes: tuple[int, ...]
-    equal: bool
-    first_mismatch: dict | None
-
-
-def specialization_check(K: int, primes: tuple[int, ...] = (2, 3, 5)) -> SpecializationReport:
+def specialization_check(K: int, primes: tuple[int, ...] = (2, 3, 5)) -> IdentityReport:
     """Evaluate the closed form at each prime and compare against a_coeff3.
 
     The bridge: the coefficient polynomial at (l, k, t), evaluated at p,
     must equal a_coeff3(p^k, p^l, p^t) (k is the exponent of the
     discriminant-like slot, whose square part drives the divisor levels).
     """
-    from .wmds import a_coeff3
-
+    params = {"kmax": K, "route": "specialization", "primes": tuple(primes)}
     closed = f_a3_expand(K)
     for p in primes:
         for l in range(K + 1):
@@ -293,32 +266,29 @@ def specialization_check(K: int, primes: tuple[int, ...] = (2, 3, 5)) -> Special
                     lhs = p_eval(closed.coeffs[l][k][t], p)
                     rhs = a_coeff3(p**k, p**l, p**t)
                     if lhs != rhs:
-                        return SpecializationReport(
-                            K,
-                            tuple(primes),
-                            False,
+                        return IdentityReport(
+                            "thm44", params, "mismatch",
                             {"p": p, "l": l, "k": k, "t": t, "lhs": lhs, "rhs": rhs},
                         )
-    return SpecializationReport(K, tuple(primes), True, None)
+    return IdentityReport("thm44", params, "equal", None)
 
 
-def thm44_check(K: int) -> PpartReport:
+def thm44_check(K: int) -> IdentityReport:
     """Compare the two routes coefficientwise up to degree K in each variable.
 
     The comparison is exact in the formal variable p (integer polynomial
     identity, stronger than any numeric specialization).
     """
+    params = {"kmax": K, "route": "polynomial"}
     closed = f_a3_expand(K)
     conv = f_a3_convolution(K)
     for l in range(K + 1):
         for k in range(K + 1):
             for t in range(K + 1):
-                if closed.coeffs[l][k][t] != conv.coeffs[l][k][t]:
-                    return PpartReport(
-                        K,
-                        False,
-                        (l, k, t),
-                        closed.coeffs[l][k][t],
-                        conv.coeffs[l][k][t],
+                lhs, rhs = closed.coeffs[l][k][t], conv.coeffs[l][k][t]
+                if lhs != rhs:
+                    return IdentityReport(
+                        "thm44", params, "mismatch",
+                        {"index": [l, k, t], "lhs": list(lhs), "rhs": list(rhs)},
                     )
-    return PpartReport(K, True, None, None, None)
+    return IdentityReport("thm44", params, "equal", None)

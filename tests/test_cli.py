@@ -19,6 +19,9 @@ from cubezeta.cli import (
     _workers,
     main,
 )
+import cubezeta.identities
+import cubezeta.ppart
+from cubezeta.congruence import sqrt_count
 from cubezeta.orbits import B
 from cubezeta.quadring import verify_thm13_scan
 
@@ -174,6 +177,93 @@ def test_verify_prop21_passes_with_findings(capsys):
     assert doc["status"] == "pass_with_findings"
     assert doc["checked"] == 12
     assert "2-adic" in doc["findings"][0]
+
+
+def test_verify_prop21_at_the_least_cutoff(capsys):
+    # 2-adic local data deeper than the truncated printed factor (d = 16, 64)
+    code, out, _ = run(capsys, "verify", "prop21", "--Dmax", "64", "--M", "1")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+
+def test_verify_siegel_caps_T_on_the_largest_modulus_read(capsys):
+    # the 2-adic route reads 2^(T+1), so T = 62 must drop to 61 at p = 2
+    code, out, err = run(capsys, "verify", "siegel", "--Dmax", "1", "--T", "62", "--threads", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "pass"
+    # a huge T is capped at once, not stepped down one degree at a time
+    proc = python_with_src("-m", "cubezeta.cli", "verify", "siegel", "--Dmax", "1",
+                           "--T", str(10**9), "--threads", "1")
+    assert proc.returncode == 0 and json.loads(proc.stdout)["status"] == "pass"
+
+
+_THM44_FAIL = """{
+  "checked": 2,
+  "findings": [],
+  "first_mismatch": {
+    "index": [
+      2,
+      3,
+      2
+    ],
+    "instance": {
+      "kmax": 3,
+      "route": "polynomial"
+    },
+    "lhs": [
+      0,
+      -1,
+      1
+    ],
+    "rhs": [
+      0,
+      0,
+      1
+    ]
+  },
+  "identity": "thm44",
+  "params": {
+    "kmax": 3
+  },
+  "schema": 1,
+  "status": "fail"
+}
+"""
+
+_SIEGEL_FAIL = """{
+  "checked": 25,
+  "findings": [],
+  "first_mismatch": {
+    "instance": {
+      "T": 7,
+      "d": -8,
+      "p": 2
+    },
+    "l": 2,
+    "lhs": 1,
+    "rhs": 0
+  },
+  "identity": "siegel",
+  "params": {
+    "Dmax": 8,
+    "T": 6
+  },
+  "schema": 1,
+  "status": "fail"
+}
+"""
+
+
+def test_verify_thm44_failing_report_bytes(capsys, monkeypatch):
+    monkeypatch.setattr(cubezeta.ppart, "_NUMERATOR", cubezeta.ppart._NUMERATOR[:-1])
+    assert run(capsys, "verify", "thm44", "--kmax", "3", "--threads", "1") == (1, _THM44_FAIL, "")
+
+
+def test_verify_siegel_failing_report_bytes(capsys, monkeypatch):
+    monkeypatch.setattr(cubezeta.identities, "sqrt_count",
+                        lambda d, a: sqrt_count(d, a) + (a == 8))
+    assert run(capsys, "verify", "siegel", "--Dmax", "8", "--T", "6", "--threads", "1") == (
+        1, _SIEGEL_FAIL, "")
 
 
 def test_verify_thm13_single_cell(capsys):

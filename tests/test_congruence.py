@@ -20,12 +20,12 @@ from cubezeta.congruence import (
     kronecker,
     mobius,
     sigma1,
-    siegel_factor_check,
     sqrt_count,
     sqrt_count_direct,
     sqrt_roots,
     squarefree_split,
 )
+from cubezeta.identities import verify_siegel
 
 nonzero_ints = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0)
 small_moduli = st.integers(min_value=1, max_value=400)
@@ -212,5 +212,5 @@ def test_hat_strips_exactly_the_squarefree_part(m, D):
 def test_siegel_factor_check_small_sweep():
     for d in (D for D in range(-60, 61) if D and D % 4 in (0, 1)):
         for p in (2, 3, 5, 7):
-            rep = siegel_factor_check(d, p, 10)
-            assert rep.equal, (d, p, rep.first_mismatch)
+            rep = verify_siegel(d, p, 10)
+            assert rep.status == "equal", (d, p, rep.first_mismatch)

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import cubezeta
+from cubezeta.cli import IDENTITIES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
@@ -31,3 +32,8 @@ def test_cli_output_matches_golden_bytes(command):
                           env=env, capture_output=True, timeout=120)
     assert proc.returncode == command["exit"], proc.stderr
     assert proc.stdout == (GOLDEN / f"{command['name']}.out").read_bytes()
+
+
+def test_every_identity_has_a_golden_command():
+    pinned = {c["argv"][1] for c in COMMANDS if c["argv"][0] == "verify"}
+    assert set(IDENTITIES) <= pinned, sorted(set(IDENTITIES) - pinned)

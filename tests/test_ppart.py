@@ -145,12 +145,12 @@ def test_convolution_symmetric_in_outer_slots():
 
 def test_closed_form_matches_convolution():
     report = thm44_check(8)
-    assert report.equal
+    assert report.status == "equal"
     assert report.first_mismatch is None
 
 
 def test_closed_form_specializes_to_arithmetic_coefficients():
     report = specialization_check(6)
-    assert report.equal
+    assert report.status == "equal"
     assert report.first_mismatch is None
-    assert report.primes == (2, 3, 5)
+    assert report.params["primes"] == (2, 3, 5)
