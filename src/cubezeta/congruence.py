@@ -4,10 +4,13 @@ The central quantity is ``sqrt_count(d, a)``, the number of residues
 ``x mod a`` with ``x^2 = d (mod a)``.  It is computed multiplicatively from
 prime powers (Hensel-style case analysis), and everything downstream -- orbit
 counting formulas, Dirichlet series coefficients, ideal-class fiber counts --
-is built on it.  ``sqrt_count_direct`` is the brute-force enumeration kept as
-an independent oracle.
+is built on it.  ``sqrt_roots`` lists the roots themselves: Hensel lifting
+per prime power (Tonelli-Shanks at odd p), joined by the Chinese remainder
+theorem.  ``sqrt_count_direct`` is the one direct O(a) scan, kept as a test
+oracle.  ``solve_linear`` solves c*x = r (mod n).
 
-Also here: factorization into signed prime powers, the splitting
+Also here: factorization into signed prime powers (trial division, then
+Miller-Rabin and Pollard-Brent rho), the splitting
 ``D = D0 * D1^2`` with ``D0`` squarefree, fundamental discriminants, and the
 Kronecker character attached to a discriminant.
 
@@ -51,10 +54,15 @@ class Factorization:
         return out
 
 
+_TRIAL_BOUND = 2**12  # trial division below this; Miller-Rabin and rho above its square
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> Factorization:
-    """Trial-division factorization of a nonzero integer.
+    """Factorization of a nonzero integer.
 
+    Trial division by the candidates below 2^12; a cofactor left above 2^24
+    is tested by deterministic Miller-Rabin and split by Pollard-Brent rho.
     Raises RangeError for n = 0 or |n| >= 2**63.
     """
     if n == 0:
@@ -71,10 +79,10 @@ def factorize(n: int) -> Factorization:
                 n //= p
                 e += 1
             factors.append((p, e))
-    q = 11
+    q, bound = 11, _TRIAL_BOUND
     # wheel over candidates coprime to 2,3 (sufficient; 5,7 already stripped)
     step = 2
-    while q * q <= n:
+    while q * q <= n and q < bound:
         if n % q == 0:
             e = 0
             while n % q == 0:
@@ -83,10 +91,65 @@ def factorize(n: int) -> Factorization:
             factors.append((q, e))
         q += step
         step = 6 - step
-    if n > 1:
+    if n >= bound * bound:  # no prime factor below the bound
+        large, primes = [n], []
+        while large:
+            n = large.pop()
+            if n < bound * bound or _is_prime(n):
+                primes.append(n)
+            else:
+                d = _rho(n)
+                large += [d, n // d]
+        factors += sorted((p, primes.count(p)) for p in set(primes))
+    elif n > 1:
         factors.append((n, 1))
-    factors.sort()
     return Factorization(sign, tuple(factors))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases up to 37: exact for odd n < 3.3e24."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n (Pollard rho, Brent's cycle search)."""
+    c = 1
+    while True:
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:  # one gcd per batch of up to 128 steps
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                g = math.gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step back one term at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+        c += 1
 
 
 def valuation(n: int, p: int) -> int:
@@ -237,12 +300,89 @@ def sqrt_count_direct(d: int, a: int) -> int:
     return sum(1 for x in range(a) if (x * x - d) % a == 0)
 
 
+def solve_linear(c: int, r: int, n: int) -> tuple[int, int]:
+    """(x0, n0) with {x : c*x = r (mod n)} = x0 + n0*Z and 0 <= x0 < n0; n >= 1.
+
+    Raises DomainError when the congruence has no solution.
+    """
+    g = math.gcd(c, n)
+    if r % g:
+        raise DomainError(f"{c}*x = {r} (mod {n}) has no solution")
+    n0 = n // g
+    return r // g * pow(c // g, -1, n0) % n0, n0
+
+
+def _sqrt_mod_prime(u: int, p: int) -> int:
+    """A square root of a quadratic residue u, p not dividing u, mod an odd prime p."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while _legendre(z, p) != -1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(u, q, p), pow(u, (q + 1) // 2, p)
+    while t != 1:  # Tonelli-Shanks: t has order 2^i < 2^s
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _prime_power_roots(d: int, p: int, e: int) -> list[int]:
+    """All x mod p^e with x^2 = d (mod p^e), unordered.
+
+    With v = v_p(d) < e even, x = p^(v/2) y for the roots y mod p^(e-v) of
+    the unit part u, each taken mod p^(e-v/2).
+    """
+    q = p**e
+    d %= q
+    if d == 0:
+        return list(range(0, q, p ** ((e + 1) // 2)))
+    v = valuation(d, p)
+    if v % 2:
+        return []
+    h, pj = p ** (v // 2), q // p**v
+    u = d // p**v % pj
+    if p == 2 and pj <= 8:
+        ys = [y for y in range(1, pj, 2) if (y * y - u) % pj == 0]
+    elif p == 2:
+        if u % 8 != 1:
+            return []
+        y, k = 1, 8
+        while k < pj:  # y^2 = u (mod k); fix the next bit
+            if (y * y - u) % (2 * k):
+                y += k // 2
+            k *= 2
+        ys = [y, pj - y, (y + pj // 2) % pj, (pj // 2 - y) % pj]
+    else:
+        if _legendre(u, p) != 1:
+            return []
+        y = _sqrt_mod_prime(u % p, p)
+        while (y * y - u) % pj:  # Newton: the precision doubles per step
+            y = (y - (y * y - u) * pow(2 * y, -1, pj)) % pj
+        ys = [y, pj - y]
+    return [h * (y + pj * k) for y in ys for k in range(h)]
+
+
 def sqrt_roots(d: int, a: int) -> list[int]:
-    """All x in [0, |a|) with x^2 = d (mod a), ascending (direct scan)."""
+    """All x in [0, |a|) with x^2 = d (mod a), ascending.
+
+    The roots mod each prime power of |a| are joined by the Chinese
+    remainder theorem.
+    """
     if a == 0:
         raise DomainError("modulus must be nonzero")
     a = abs(a)
-    return [x for x in range(a) if (x * x - d) % a == 0]
+    roots, q = [0], 1
+    for p, e in factorize(a).factors:
+        pe = p**e
+        local = _prime_power_roots(d, p, e)
+        inv = pow(q, -1, pe)
+        roots = [x + q * ((y - x) * inv % pe) for x in roots for y in local]
+        q *= pe
+    return sorted(roots)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .congruence import DomainError, level_grid, level_sum, sqrt_count
+from .congruence import DomainError, level_grid, level_sum, solve_linear, sqrt_count, sqrt_roots
 from .cube import Cube, discriminant, form1, form2
 
 
@@ -40,8 +40,8 @@ def congruence_pairs(D: int, m: int, n: int) -> list[CongruencePair]:
     """All congruence pairs for (D, m, n), ordered lexicographically by (x, y)."""
     if D == 0 or m == 0 or n == 0:
         raise DomainError("congruence pairs need nonzero D, m, n")
-    xs = [x for x in range(2 * abs(m)) if (x * x - D) % (4 * m) == 0]
-    ys = [y for y in range(2 * abs(n)) if (y * y - D) % (4 * n) == 0]
+    xs = [x for x in sqrt_roots(D, 4 * m) if x < 2 * abs(m)]
+    ys = [y for y in sqrt_roots(D, 4 * n) if y < 2 * abs(n)]
     return [
         CongruencePair(D, m, n, x, y, (x * x - D) // (4 * m), (y * y - D) // (4 * n))
         for x in xs
@@ -76,10 +76,10 @@ def cube_from_invariants(D: int, m: int, n: int, x: int, y: int) -> Cube:
         raise DomainError("internal: a must divide (x+y)/2")
     h = -(half_sum // a)
     if h != 0:
-        ah = abs(h)
-        f = next(
-            fc for fc in range(ah) if (s + fc * g) % ah == 0 and (t + fc * d) % ah == 0
-        )
+        f1, n1 = solve_linear(g, -s, abs(h))
+        f2, n2 = solve_linear(d, -t, abs(h))
+        # f = f1 (mod n1) and f = f2 (mod n2): the least f >= 0 lies below lcm(n1, n2)
+        f = f1 + n1 * solve_linear(n1, f2 - f1, n2)[0]
         e = (s + f * g) // h
         b = (t + f * d) // h
     else:
@@ -87,8 +87,7 @@ def cube_from_invariants(D: int, m: int, n: int, x: int, y: int) -> Cube:
             raise DomainError("internal: g must divide s when h = 0")
         f = -(s // g)
         w = (x - y) // 2
-        ag = abs(g)
-        e = next(ec for ec in range(ag) if (w + d * ec) % ag == 0)
+        e = solve_linear(d, -w, abs(g))[0]
         b = (w + d * e) // g
     A = Cube(a, b, 0, d, e, f, g, h)
     q1, q2 = form1(A), form2(A)

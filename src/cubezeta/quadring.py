@@ -154,13 +154,13 @@ def classes_with_norm(D: int, a: int) -> tuple[OrientedIdealClass, ...]:
     if not is_discriminant(D):
         raise DomainError("D must be a nonzero integer = 0 or 1 mod 4")
     window = 2 * abs(a)
-    bs = sorted({x % window for x in sqrt_roots(D, 4 * abs(a))})
-    return tuple(OrientedIdealClass(a, b) for b in bs)
+    return tuple(OrientedIdealClass(a, b) for b in sqrt_roots(D, 4 * a) if b < window)
 
 
 def _oriented_classes(D: int, a: int) -> tuple[OrientedIdealClass, ...]:
     """The classes of norm a > 0 in both orientations, negative a first."""
-    return classes_with_norm(D, -a) + classes_with_norm(D, a)
+    positive = classes_with_norm(D, a)
+    return tuple(OrientedIdealClass(-a, c.b) for c in positive) + positive
 
 
 def ideal_class_pairs(D: int, a1: int, a2: int) -> tuple[IdealClassPair, ...]:
@@ -234,8 +234,8 @@ def level_counts(D: int, D1: int, a: int) -> dict:
     """{d: N(d)} over d | gcd(D1, a): the classes of norm a > 0, in both
     orientations, that pass the depressed congruence at d.
 
-    N(1) counts every class.  The classes are scanned directly, so the
-    counts do not go through ``sqrt_count``.
+    N(1) counts every class.  The classes are enumerated from their roots,
+    not counted by ``sqrt_count``.
     """
     classes = _oriented_classes(D, a)
     return {d: sum(_depressed(c, d, D) for c in classes) for d in divisors(math.gcd(D1, a))}

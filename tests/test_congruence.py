@@ -1,6 +1,7 @@
 """Square-root counting, divisor arithmetic, and character plumbing."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,6 @@ from cubezeta.congruence import (
     sqrt_roots,
     squarefree_split,
 )
-from cubezeta.identities import verify_siegel
 
 nonzero_ints = st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n != 0)
 small_moduli = st.integers(min_value=1, max_value=400)
@@ -127,6 +127,64 @@ def test_sqrt_roots_agree_with_count(d, a):
     assert roots == sorted(roots)
 
 
+def scan_roots(d, a):
+    """The literal O(a) scan that sqrt_roots replaces."""
+    return [x for x in range(a) if (x * x - d) % a == 0]
+
+
+def test_sqrt_roots_match_the_literal_scan():
+    for d in range(-200, 201):
+        for a in range(1, 300):
+            assert sqrt_roots(d, a) == scan_roots(d, a), (d, a)
+    rng = random.Random(10)
+    for _ in range(300):
+        d, a = rng.randint(-(10**6), 10**6), rng.randint(1, 10**5)
+        assert sqrt_roots(d, a) == scan_roots(d, a), (d, a)
+        assert sqrt_roots(d, -a) == sqrt_roots(d, a)
+
+
+def test_sqrt_roots_at_powers_of_two():
+    # d = 0 mod 2^e, and odd and even valuations with 1, 2, 4 unit roots
+    for e in range(1, 13):
+        for v in range(e + 3):
+            for u in range(-17, 18, 2):
+                d = u * 2**v
+                assert sqrt_roots(d, 2**e) == scan_roots(d, 2**e), (d, e)
+                assert sqrt_roots(d, 3 * 2**e) == scan_roots(d, 3 * 2**e), (d, e)
+
+
+def test_factorize_splits_large_cofactors():
+    p31, p32 = 2147483647, 4294967291  # primes above the trial bound squared
+    cases = {
+        4611686018427387847: {4611686018427387847: 1},  # a 62-bit prime
+        p31 * p32: {p31: 1, p32: 1},
+        2 * p31**2: {2: 1, p31: 2},
+        4099**5: {4099: 5},
+        2**63 - 1: {7: 2, 73: 1, 127: 1, 337: 1, 92737: 1, 649657: 1},
+    }
+    for n, want in cases.items():
+        assert dict(factorize(n).factors) == want
+        assert factorize(-n).value() == -n
+
+
+def test_sqrt_roots_and_factorize_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(62)
+    for _ in range(40):
+        n = rng.randint(2, 2**62)
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
+        p, q = sympy.randprime(2**20, 2**31), sympy.randprime(2**20, 2**31)
+        assert dict(factorize(p * q).factors) == sympy.factorint(p * q), p * q
+    for _ in range(60):
+        a = rng.randint(1, 2**62)
+        x, k = rng.randint(0, a - 1), rng.randint(-5, 5)
+        d = x * x - k * a if rng.random() < 0.7 else rng.randint(-(10**9), 10**9)
+        roots = sqrt_roots(d, a)
+        if len(roots) <= 4096:
+            assert roots == sorted(sympy.sqrt_mod(d, a, all_roots=True) or []), (d, a)
+        assert len(roots) == sqrt_count(d, a), (d, a)
+
+
 # ---------------------------------------------------------------------------
 # Discriminants and characters
 # ---------------------------------------------------------------------------
@@ -203,14 +261,3 @@ def test_hat_strips_exactly_the_squarefree_part(m, D):
     for p, _ in (factorize(cof).factors if cof > 1 else ()):
         assert abs(d0) % p == 0
 
-
-# ---------------------------------------------------------------------------
-# Local factor closed form
-# ---------------------------------------------------------------------------
-
-
-def test_siegel_factor_check_small_sweep():
-    for d in (D for D in range(-60, 61) if D and D % 4 in (0, 1)):
-        for p in (2, 3, 5, 7):
-            rep = verify_siegel(d, p, 10)
-            assert rep.status == "equal", (d, p, rep.first_mismatch)

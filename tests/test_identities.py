@@ -15,6 +15,7 @@ from cubezeta.identities import (
     verify_cor24,
     verify_prop21,
     verify_prop25,
+    verify_siegel,
     verify_thm12,
 )
 
@@ -133,3 +134,10 @@ def test_partial_sum_warns_outside_convergence_region():
     result = partial_sum(0.9, 1.5, 1.5, 20, 20)
     assert not result.converged_region
     assert result.warnings
+
+
+def test_verify_siegel_small_sweep():
+    for d in (D for D in range(-60, 61) if D and D % 4 in (0, 1)):
+        for p in (2, 3, 5, 7):
+            rep = verify_siegel(d, p, 10)
+            assert rep.status == "equal", (d, p, rep.first_mismatch)

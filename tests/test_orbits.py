@@ -1,5 +1,8 @@
 """Congruence-pair parameterization and the orbit-count formula B."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +54,37 @@ def test_cube_from_pair_hits_the_requested_forms(D, m, n):
         assert (q2.a, q2.b, q2.c) == (n, pair.y, pair.t)
         assert invariants(A) == (D, m, n)
         assert is_semistable(A)
+
+
+def scan_cube(D, m, n, x, y):
+    """The representative of ``cube_from_invariants`` by the literal least-f / least-e scans."""
+    s, t = (x * x - D) // (4 * m), (y * y - D) // (4 * n)
+    a = abs(math.gcd(m, n, (x + y) // 2))
+    d, g, h = m // a, n // a, -((x + y) // 2 // a)
+    if h:
+        f = next(f for f in range(abs(h)) if (s + f * g) % h == 0 and (t + f * d) % h == 0)
+        return (a, (t + f * d) // h, 0, d, (s + f * g) // h, f, g, h)
+    w = (x - y) // 2
+    e = next(e for e in range(abs(g)) if (w + d * e) % g == 0)
+    return (a, (w + d * e) // g, 0, d, e, -(s // g), g, 0)
+
+
+def test_cube_from_invariants_matches_the_literal_scans():
+    rng = random.Random(13)
+    cells = 0
+    while cells < 400:  # h != 0: the pairs of random cells, both signs of m and n
+        D = rng.randint(-5000, 5000)
+        m, n = rng.choice((1, -1)) * rng.randint(1, 300), rng.choice((1, -1)) * rng.randint(1, 300)
+        if D and D % 4 in (0, 1):
+            for p in congruence_pairs(D, m, n):
+                assert cube_from_pair(p).entries() == scan_cube(D, m, n, p.x, p.y), p
+                cells += 1
+    for _ in range(400):  # h = 0: y = -x, with D = x^2 mod 4 lcm(m, n)
+        m, n = rng.choice((1, -1)) * rng.randint(1, 300), rng.choice((1, -1)) * rng.randint(1, 300)
+        x = rng.randint(-600, 600)
+        D = x * x - 4 * math.lcm(m, n) * rng.randint(-20, 20)
+        if D:
+            assert cube_from_invariants(D, m, n, x, -x).entries() == scan_cube(D, m, n, x, -x)
 
 
 def test_cube_from_invariants_rejects_bad_data():

@@ -71,6 +71,18 @@ def test_class_count_is_half_the_root_count(D, a0, sign):
     assert all(c.a == a and c.matches(D) for c in classes)
 
 
+def test_classes_with_norm_near_10_12():
+    # two primes and a smooth norm; D = x^2 - 4ak has the root x mod 4a
+    smooth = 2**4 * 3**2 * 5**2 * 7 * 11 * 13 * 17 * 19 * 23 * 29
+    for a in (999999999989, 10**12 + 39, smooth):
+        for x, k in ((5, 1), (7, -3), (2 * 3 * 5 * 7, 2)):
+            D = x * x - 4 * a * k
+            classes = classes_with_norm(D, a)
+            assert classes and all(c.a == a and c.matches(D) for c in classes)
+            assert [c.b for c in classes_with_norm(D, -a)] == [c.b for c in classes]
+            assert 2 * len(classes) == sqrt_count(D, 4 * a), (D, a)
+
+
 @settings(max_examples=200)
 @given(D=discriminants, a0=st.integers(min_value=1, max_value=12), sign=st.sampled_from((1, -1)))
 def test_form_class_roundtrip(D, a0, sign):
