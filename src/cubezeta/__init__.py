@@ -31,14 +31,9 @@ from .cube import (
     GroupElement,
     act,
     act_word,
-    cube_from_json,
-    cube_from_text,
-    cube_to_json,
-    cube_to_text,
     discriminant,
     forms,
     invariants,
-    is_projective,
     is_semistable,
     orbit_count_oracle,
     shear1,

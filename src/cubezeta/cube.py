@@ -14,19 +14,22 @@ enlarged).  Enumeration works on the c = 0 slice: every orbit with m, n != 0
 has a representative there, and the slice-preserving moves (the two
 lower-unipotent shears, the upper shear in the third factor, and global
 negation) connect exactly the cubes that the full group connects inside the
-slice, so components of the move graph are orbit traces.  The shears keep a
-and commute with negation, which swaps the a > 0 and a < 0 halves and keeps
-the largest absolute entry; so each orbit trace is C and -C for exactly one
-shear component C of the a > 0 half, and only that half is enumerated.  Each
-cube is one packed integer key and each shear is integer arithmetic on keys.
-One union-find pass counts the components meeting the inner box twice: with
-the edges inside the box of radius entry_bound + slack, and again after the
-deferred edges touching the outer shell (radius entry_bound + slack + 1).
+slice, so components of the move graph are orbit traces.  The shears keep
+a, d and g.  Negation swaps the a > 0 and a < 0 halves; the sign flips of
+(b, d, f, h) and of (e, f, g, h) swap the signs of d and of g, and each
+turns one lower shear into its inverse and commutes with the other moves.
+All three keep D, |m|, |n| and every |entry|, so only the part with
+a, d, g > 0 is enumerated and each of its components stands for four orbits.
+The third shear (b, e, f) += k*(d, g, h) commutes with both lower shears,
+so the enumeration yields its orbits (chains), each with the run of k that
+lies in a box, and union-find runs over chains.  One pass counts the
+components meeting the inner box twice: with the edges inside the box of
+radius entry_bound + slack, and again after the deferred edges touching the
+outer shell (radius entry_bound + slack + 1).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,9 +47,6 @@ class BinaryQuadraticForm:
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    def content(self) -> int:
-        return math.gcd(self.a, self.b, self.c)
 
     def __call__(self, u: int, v: int) -> int:
         return self.a * u * u + self.b * u * v + self.c * v * v
@@ -67,16 +67,6 @@ class Cube:
 
     def entries(self) -> tuple[int, ...]:
         return (self.a, self.b, self.c, self.d, self.e, self.f, self.g, self.h)
-
-    @staticmethod
-    def from_iterable(vals) -> "Cube":
-        t = tuple(int(v) for v in vals)
-        if len(t) != 8:
-            raise DomainError("a cube needs exactly 8 integer entries")
-        return Cube(*t)
-
-    def max_abs(self) -> int:
-        return max(abs(v) for v in self.entries())
 
 
 def form1(A: Cube) -> BinaryQuadraticForm:
@@ -124,11 +114,6 @@ def is_semistable(A: Cube) -> bool:
     """True when none of the invariants D, m, n vanishes."""
     D, m, n = invariants(A)
     return D != 0 and m != 0 and n != 0
-
-
-def is_projective(A: Cube) -> bool:
-    """True when all three slicing forms are primitive (content 1)."""
-    return all(q.content() == 1 for q in forms(A))
 
 
 # ---------------------------------------------------------------------------
@@ -206,32 +191,6 @@ def act_word(word, A: Cube) -> Cube:
     for g in word:
         A = act(g, A)
     return A
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def cube_to_json(A: Cube) -> str:
-    """Serialize as a JSON array of the 8 entries."""
-    return json.dumps(list(A.entries()))
-
-
-def cube_from_json(text: str) -> Cube:
-    vals = json.loads(text)
-    if not isinstance(vals, list):
-        raise DomainError("expected a JSON array of 8 integers")
-    return Cube.from_iterable(vals)
-
-
-def cube_to_text(A: Cube) -> str:
-    """Serialize as 8 whitespace-separated integers."""
-    return " ".join(str(v) for v in A.entries())
-
-
-def cube_from_text(line: str) -> Cube:
-    return Cube.from_iterable(line.split())
 
 
 # ---------------------------------------------------------------------------
@@ -337,45 +296,6 @@ def default_entry_bound(D: int, m: int, n: int) -> int:
     return m + n + (abs(D) + 4 * lead - 1) // (4 * lead) + 4
 
 
-def _interval(c0: int, step: int, bound: int):
-    """Integer t-range with |c0 + t*step| <= bound, as (lo, hi) or None.
-
-    step == 0 means the constraint is t-independent: returns the full marker
-    (None sentinel handled by caller) when satisfied, empty otherwise.
-    """
-    if step == 0:
-        return (0, -1) if abs(c0) > bound else None
-    lo = -bound - c0
-    hi = bound - c0
-    if step < 0:
-        lo, hi, step = -hi, -lo, -step
-    return (-(-lo // step), hi // step)  # ceil, floor
-
-
-# Cube keys: entry i of (a, b, c, d, e, f, g, h) is the digit value + W/2 at
-# bit offset i * bits, with W = 2**bits > 4R in a box of radius R.  A move
-# adds at most R to an entry, so a neighbour's digits stay in [0, W) and its
-# key aliases no other cube's.  The key is affine in the entries, so the
-# slice-preserving shears are integer arithmetic on keys: k = +-1 of
-#   first-factor lower shear    (e, f, g, h) += k * (a, b, c, d)
-#   second-factor lower shear   (b, d, f, h) += k * (a, c, e, g)
-#   third-factor upper shear    (a, b, e, f) += k * (c, d, g, h)
-# (c = 0 stays 0).  Each shear edge between enumerated cubes is the k = +1
-# move of one end.  The seventh move, negation, pairs the a > 0 half of the
-# slice with the a < 0 half; only the a > 0 half is enumerated, so it is not
-# an edge.
-
-
-def _key_bits(R: int) -> int:
-    """Bits per entry of the keys of cubes with entries bounded by R."""
-    return (4 * R).bit_length()
-
-
-def _digit_units(bits: int, positions) -> int:
-    """Sum of the place values 2**(bits * i) of the given entry positions."""
-    return sum(1 << (bits * i) for i in positions)
-
-
 def _slice_roots(D: int, m: int, n: int) -> list[int]:
     """The square roots of D mod 4m, or none when D is no square mod 4n.
 
@@ -389,95 +309,74 @@ def _slice_roots(D: int, m: int, n: int) -> list[int]:
     return []
 
 
-def _slice_enumerate(D: int, m: int, n: int, R: int, roots) -> tuple[list[int], list[int]]:
-    """Cubes with c = 0, a > 0, |entries| <= R, |m| = m, |n| = n, disc = D.
+def _slice_enumerate(D: int, m: int, n: int, R: int, slack: int, roots):
+    """Third-shear chains of the cubes with c = 0 and a, d, g > 0.
 
-    Returns the cubes' keys (packed with ``_key_bits(R)`` bits per entry) and,
-    in the same order, their largest absolute entries.  Each cube appears
-    once; negating them gives the a < 0 half.  Walks the Diophantine
-    structure of the slice: a*d = +-m, a*g = +-n, x = b*g - d*e (the middle
-    coefficient of the first form) runs over the classes mod 4m of the
-    ``roots`` that ``_slice_roots`` returns, (b, e) live on a Bezout line for
-    given x and h, and f is determined up to exact divisibility.
+    Yields (rep, inner, core, outer) for the cubes with |m| = m, |n| = n and
+    discriminant D.  A chain is one orbit of the third-factor shear, which on
+    the slice is (b, e, f) += k*(d, g, h): its cubes are rep shifted by k,
+    named by the representative rep with 0 <= e < g.  Each entry is affine
+    in k, so the largest absolute entry is convex in k and the k whose cube
+    has all entries <= rho form one interval (lo, hi), empty when lo > hi:
+    inner, core and outer are these for rho = R, R + slack and R + slack + 1.
+    Each chain with a nonempty outer interval is yielded once.  The sign
+    flips of (b, d, f, h) and of (e, f, g, h) keep D, |m|, |n| and |entries|
+    and give the rest of the a > 0 half.
+
+    Walks the Diophantine structure of the slice: a*d = m, a*g = n, and
+    x = b*g - d*e - a*h (the middle coefficient of the first form, which the
+    shear keeps, as it keeps h) runs over the classes mod 4m of ``roots``
+    from ``_slice_roots``.  Given (x, h), g*b - d*e = x + a*h fixes e modulo
+    g / gamma with gamma = gcd(d, g), so the (x, h) line holds gamma
+    representatives, and e*h - f*g = (x*x - D) / (4m) fixes f when g divides
+    it.  A cube of the box has |b*g - d*e| <= rho*(d + g) and
+    |e*h - f*g| <= rho*(|h| + g), which bounds h for each x.
     """
-    keys: list[int] = []
-    maxabs: list[int] = []
-    bits = _key_bits(R)
-    for aa in divisors(math.gcd(m, n)):
-        dd, gg = m // aa, n // aa
-        if aa > R or dd > R or gg > R:
+    radii = (R, R + slack, R + slack + 1)
+    rho = radii[2]
+    for a in divisors(math.gcd(m, n)):
+        d, g = m // a, n // a
+        adg = max(a, d, g)
+        if adg > rho:
             continue
-        for d_s in (dd, -dd):
-            for g_s in (gg, -gg):
-                _slice_branch(keys, maxabs, D, m, aa, d_s, g_s, roots, R, bits)
-    return keys, maxabs
-
-
-def _slice_branch(keys, maxabs, D, m, a_s, d_s, g_s, roots, R, bits):
-    fourm = 4 * m
-    x_max = R * (abs(a_s) + abs(d_s) + abs(g_s))
-    gamma = math.gcd(d_s, g_s)
-    # Bezout: g_s * u + d_s * v = gamma
-    u0, v0 = _bezout(g_s, d_s, gamma)
-    d1, g1 = d_s // gamma, g_s // gamma
-    four_ad = 4 * a_s * d_s
-    abs_g = abs(g_s)
-    adg_max = max(abs(a_s), abs(d_s), abs_g)
-    place_b, place_e, place_f, place_h = (1 << (bits * i) for i in (1, 4, 5, 7))
-    zero_key = _digit_units(bits, range(8)) << (bits - 1)
-    branch_key = zero_key + a_s + (d_s << (3 * bits)) + (g_s << (6 * bits))
-    for r in roots:
-        # ribbon of x-values in the congruence class of r
-        x = r - fourm * ((r + x_max) // fourm)
-        while x <= x_max:
-            if abs(x) <= x_max:
-                s_val = (x * x - D) // four_ad
-                for h in range(-R, R + 1):
-                    w = x + a_s * h
+        gamma = math.gcd(d, g)
+        g1 = g // gamma
+        # g*b - d*e = w gives e = -(w / gamma) / (d / gamma) mod g1
+        e_unit = -pow(d // gamma, -1, g1)
+        w_max = rho * (d + g)
+        x_max = w_max + a * rho
+        for r in roots:
+            for x in range(r - 4 * m * ((r + x_max) // (4 * m)), x_max + 1, 4 * m):
+                s = (x * x - D) // (4 * m)
+                band = -(-abs(s) // rho) - g
+                h_lo = max(-rho, -((w_max + x) // a))
+                h_hi = min(rho, (w_max - x) // a)
+                if band > 0:
+                    hs = (*range(h_lo, min(h_hi, -band) + 1), *range(max(h_lo, band), h_hi + 1))
+                else:
+                    hs = range(h_lo, h_hi + 1)
+                for h in hs:
+                    w = x + a * h
                     if w % gamma:
                         continue
-                    wq = w // gamma
-                    b0 = u0 * wq
-                    e0 = -v0 * wq
-                    # pull (b0, e0) near zero along the kernel direction
-                    shift = e0 // g1 if g1 else 0
-                    b0 -= shift * d1
-                    e0 -= shift * g1
-                    win = _interval(e0, g1, R)
-                    wb = _interval(b0, d1, R)
-                    wf = _interval(e0 * h - s_val, g1 * h, R * abs_g)
-                    lo, hi = -(10**9), 10**9
-                    for wnd in (win, wb, wf):
-                        if wnd is not None:
-                            lo = max(lo, wnd[0])
-                            hi = min(hi, wnd[1])
-                    key_h = branch_key + h * place_h
-                    max_h = max(adg_max, abs(h))
-                    for t in range(lo, hi + 1):
-                        e = e0 + t * g1
-                        num = e * h - s_val
-                        if num % g_s:
+                    for e in range((w // gamma) * e_unit % g1, g, g1):
+                        num = e * h - s
+                        if num % g:
                             continue
-                        b = b0 + t * d1
-                        f = num // g_s
-                        keys.append(key_h + b * place_b + e * place_e + f * place_f)
-                        maxabs.append(max(max_h, abs(b), abs(e), abs(f)))
-            x += fourm
-
-
-def _bezout(p: int, q: int, gamma: int) -> tuple[int, int]:
-    """(u, v) with p*u + q*v = gamma = gcd(p, q) (signed inputs)."""
-    old_r, r = p, q
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_u, u = u, old_u - quot * u
-        old_v, v = v, old_v - quot * v
-    if old_r == gamma:
-        return old_u, old_v
-    return -old_u, -old_v
+                        b = (w + d * e) // g
+                        f = num // g
+                        # |b + k*d|, |e + k*g| and |f + k*h| = |fh + k*hh| are at most
+                        # bound; at h = 0 the e-term stands in for the f-term
+                        fh, hh = (f, h) if h > 0 else (-f, -h) if h else (e, g)
+                        fixed = max(adg, abs(h) if h else abs(f))
+                        spans = [
+                            (max(-((bound + b) // d), -((bound + e) // g), -((bound + fh) // hh)),
+                             min((bound - b) // d, (bound - e) // g, (bound - fh) // hh))
+                            if fixed <= bound else (1, 0)
+                            for bound in radii
+                        ]
+                        if spans[2][0] <= spans[2][1]:
+                            yield ((a, b, 0, d, e, f, g, h), *spans)
 
 
 def _find(parent: list[int], i: int) -> int:
@@ -493,17 +392,24 @@ def orbit_count_oracle(
     """Count orbits of cubes with discriminant D and |invariants| (|m|, |n|).
 
     All four sign classes of (m, n) are counted together.  Enumerates the
-    a > 0 half of the c = 0 slice inside a box of radius R + slack + 1
-    (R = entry_bound) and counts, in one union-find pass, the components
-    meeting the inner box of radius R: first under the shear edges between
-    cubes of the box of radius R + slack, then again after the deferred edges
-    that touch the outer shell are added.  Negation pairs each such component
-    with one of the a < 0 half into one orbit trace, so these are the orbit
+    part of the c = 0 slice with a, d, g > 0 inside a box of radius
+    R + slack + 1 (R = entry_bound) as third-shear chains
+    (``_slice_enumerate``) and counts, in one union-find pass over chains,
+    the components meeting the inner box of radius R: first under the shear
+    edges between cubes of the box of radius R + slack, then again after the
+    deferred edges that touch the outer shell are added.  A chain's cubes
+    inside any box are one run of k, linked by the third shear.  The lower
+    shears commute with it, e.g. for the first one
+    f + k*h + b + k*d = f + b + k*(h + d), so the k = +1 move of each cube of
+    chain C lands on chain C' at k + q for one offset q: an edge joins C and
+    C' when their intervals meet after the offset.  The two sign flips give
+    four such components in the a > 0 half, and negation pairs each with one
+    of the a < 0 half into one orbit trace, so four times these are the orbit
     counts.  The count is stable when the two agree, i.e. when enlarging the
-    slack by one does not change it, and the inner box holds a cube.  An empty
-    inner box is stable only when no cube has these invariants at all, i.e.
-    when D is no square mod 4m or mod 4n (then B = 0).  ``cubes_enumerated``
-    counts the whole slice, both halves.
+    slack by one does not change it, and the inner box holds a cube.  An
+    empty inner box is stable only when no cube has these invariants at all,
+    i.e. when D is no square mod 4m or mod 4n (then B = 0).
+    ``cubes_enumerated`` counts the whole slice in the box.
     """
     m, n = abs(m), abs(n)
     if m == 0 or n == 0:
@@ -511,41 +417,30 @@ def orbit_count_oracle(
     if (entry_bound is not None and entry_bound < 0) or slack < 0:
         raise DomainError("oracle entry_bound and slack must be nonnegative")
     R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
-    core = R + slack
     roots = _slice_roots(D, m, n)
-    keys, maxabs = _slice_enumerate(D, m, n, core + 1, roots)
-    bits = _key_bits(core + 1)
-    half, digit = 1 << (bits - 1), (1 << bits) - 1
-    # the entries that the k = +1 shears add: (a, b, c, d), (a, c, e, g), (c, d, g, h)
-    front, left, right = (
-        _digit_units(bits, block) for block in ((0, 1, 2, 3), (0, 2, 4, 6), (2, 3, 6, 7))
-    )
-    front_mask, left_mask, right_mask = front * digit, left * digit, right * digit
-    front_half, left_half, right_half = front * half, left * half, right * half
-
-    index_of = {key: i for i, key in enumerate(keys)}
-    parent = list(range(len(keys)))
+    chains = list(_slice_enumerate(D, m, n, R, slack, roots))
+    index_of = {chain[0]: i for i, chain in enumerate(chains)}
+    parent = list(range(len(chains)))
     deferred = []
-    for i, key in enumerate(keys):
-        in_core = maxabs[i] <= core
-        # (key & mask) - half is the signed value of a block of entries; the
-        # shift moves it onto the entries that the shear adds it to
-        for nb in (
-            key + (((key & front_mask) - front_half) << (4 * bits)),
-            key + (((key & left_mask) - left_half) << bits),
-            key + (((key & right_mask) - right_half) >> (2 * bits)),
-        ):
-            j = index_of.get(nb)
+    for i, ((a, b, _, d, e, f, g, h), _, (c_lo, c_hi), (o_lo, o_hi)) in enumerate(chains):
+        # k = +1 of the second shear keeps e; of the first, e + a is reduced mod g
+        q1 = (e + a) // g
+        for image, q in (((a, b + a, 0, d, e, f + e, g, h + g), 0),
+                         ((a, b - q1 * d, 0, d, e + a - q1 * g, f + b - q1 * (h + d), g, h + d), q1)):
+            j = index_of.get(image)
             if j is None:
                 continue
-            if in_core and maxabs[j] <= core:
+            _, _, (c_lo2, c_hi2), (o_lo2, o_hi2) = chains[j]
+            if max(c_lo, c_lo2 - q) <= min(c_hi, c_hi2 - q):
                 parent[_find(parent, i)] = _find(parent, j)
-            else:
+            elif max(o_lo, o_lo2 - q) <= min(o_hi, o_hi2 - q):
                 deferred.append((i, j))
-    inner = [i for i, r in enumerate(maxabs) if r <= R]
+    inner = [i for i, chain in enumerate(chains) if chain[1][0] <= chain[1][1]]
     count = len({_find(parent, i) for i in inner})
     for i, j in deferred:
         parent[_find(parent, i)] = _find(parent, j)
     count_wider = len({_find(parent, i) for i in inner})
-    return OracleCount(count, count == count_wider and (bool(inner) or not roots),
-                       R, slack, 2 * len(keys))
+    # the two sign flips and negation make eight copies of each enumerated cube
+    enumerated = 8 * sum(hi - lo + 1 for _, _, _, (lo, hi) in chains)
+    return OracleCount(4 * count, count == count_wider and (bool(inner) or not roots),
+                       R, slack, enumerated)

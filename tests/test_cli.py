@@ -97,7 +97,7 @@ def test_oracle_sweep_rejects_bad_ranges_with_exit_2():
         assert f"error: {flag} must be" in proc.stderr, flag
     proc = oracle_sweep("--Dmax", "5", "--Mmax", "1")
     assert proc.returncode == 0
-    assert proc.stdout.startswith("5 cells, 0 mismatches, 0 unstable, ")
+    assert proc.stdout.startswith("5 cells, 0 mismatches, 0 unstable, 74144 cubes enumerated, ")
 
 
 def test_oracle_with_no_cube_in_the_inner_box_is_unstable(capsys):

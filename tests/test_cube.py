@@ -13,22 +13,16 @@ from cubezeta.cube import (
     DomainError,
     GroupElement,
     OracleCount,
-    _key_bits,
     _slice_enumerate,
     _slice_roots,
     act,
     act_word,
-    cube_from_json,
-    cube_from_text,
-    cube_to_json,
-    cube_to_text,
     default_entry_bound,
     discriminant,
     form1,
     form2,
     forms,
     invariants,
-    is_projective,
     is_semistable,
     orbit_count_oracle,
     shear1,
@@ -65,16 +59,16 @@ def random_word(rng, length):
 
 
 def test_invariants_of_reference_cubes():
-    A = Cube.from_iterable([1, 1, 0, 1, 1, 0, 1, -1])
+    A = Cube(1, 1, 0, 1, 1, 0, 1, -1)
     assert forms(A)[0] == BinaryQuadraticForm(1, 1, -1)
     assert forms(A)[1] == BinaryQuadraticForm(1, 1, -1)
     assert invariants(A) == (5, 1, 1)
-    assert is_semistable(A) and is_projective(A)
+    assert is_semistable(A)
 
-    A = Cube.from_iterable([1, 0, 0, 1, 0, 1, 1, 0])
+    A = Cube(1, 0, 0, 1, 0, 1, 1, 0)
     assert invariants(A) == (4, 1, 1)
 
-    A = Cube.from_iterable([0, 1, 1, 0, 1, 0, 0, 1])
+    A = Cube(0, 1, 1, 0, 1, 0, 0, 1)
     assert discriminant(A) in (0, 1) or discriminant(A) % 4 in (0, 1)
 
 
@@ -118,18 +112,6 @@ def test_group_element_validation():
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-@given(cubes)
-@settings(max_examples=50)
-def test_json_and_text_roundtrip(A):
-    assert cube_from_json(cube_to_json(A)) == A
-    assert cube_from_text(cube_to_text(A)) == A
-
-
-# ---------------------------------------------------------------------------
 # Stabilizers
 # ---------------------------------------------------------------------------
 
@@ -137,7 +119,7 @@ def test_json_and_text_roundtrip(A):
 def test_stabilizer_trivial_on_reference_cubes():
     for vals in ([1, 1, 0, 1, 1, 0, 1, -1], [1, 0, 0, 1, 0, 1, 1, 0],
                  [1, 2, 0, 3, 2, 1, 1, -1]):
-        A = Cube.from_iterable(vals)
+        A = Cube(*vals)
         if is_semistable(A):
             assert stabilizer_trivial(A, max_length=3)
 
@@ -173,25 +155,40 @@ def literal_slice_scan(D, m, n, R):
     return found
 
 
-def decode_key(key, bits):
-    """The 8 entries of a packed cube key (entry i is value + 2**(bits-1) at bit i*bits)."""
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    return tuple(((key >> (bits * i)) & mask) - half for i in range(8))
+def expand(chain, k_range=None):
+    """The cubes rep + k*(0, d, 0, 0, g, h, 0, 0) of a chain, for k in its outer interval."""
+    (a, b, _, d, e, f, g, h), _, _, (lo, hi) = chain
+    ks = range(lo, hi + 1) if k_range is None else k_range
+    return [(a, b + k * d, 0, d, e + k * g, f + k * h, g, h) for k in ks]
+
+
+def with_sign_flips(cubes):
+    """The cubes with their images under the sign flips of (b, d, f, h) and (e, f, g, h)."""
+    signs = ((1, 1, 1, 1, 1, 1, 1, 1), (1, -1, 1, -1, 1, -1, 1, -1),
+             (1, 1, 1, 1, -1, -1, -1, -1), (1, -1, 1, -1, -1, 1, -1, 1))
+    return [tuple(v * s for v, s in zip(c, sign)) for c in cubes for sign in signs]
 
 
 def test_slice_enumeration_is_complete_in_small_boxes():
-    # a neighbour's entries reach 2R, so digits need 2**bits > 4R not to alias
-    assert all(1 << _key_bits(R) > 4 * R for R in range(1, 300))
     boxes = ((5, 1, 1, 3), (45, 3, 3, 4), (-4, 1, 1, 3), (12, 2, 1, 3), (5, 1, 2, 3))
     for D, m, n, R in boxes:
-        keys, maxabs = _slice_enumerate(D, m, n, R, _slice_roots(D, m, n))
-        produced = [decode_key(key, _key_bits(R)) for key in keys]
-        assert maxabs == [max(abs(v) for v in c) for c in produced]
+        # radii R - 2, R - 1 and R for the inner, core and outer intervals
+        chains = list(_slice_enumerate(D, m, n, R - 2, 1, _slice_roots(D, m, n)))
+        produced = with_sign_flips(c for chain in chains for c in expand(chain))
+        # every cube of the a > 0 half lies in exactly one chain (or one flip of it)
         assert len(set(produced)) == len(produced), (D, m, n, R)
         literal = literal_slice_scan(D, m, n, R)
-        # negation pairs the a > 0 half, which alone is enumerated, with the rest
+        # negation pairs the a > 0 half with the rest
         assert literal == {tuple(-v for v in c) for c in literal}, (D, m, n, R)
         assert set(produced) == {c for c in literal if c[0] > 0}, (D, m, n, R)
+        for chain in chains:
+            (a, _, _, d, e, _, g, _), *spans = chain
+            assert a > 0 and d > 0 and 0 <= e < g, chain
+            # each interval is exactly the k whose cube has all entries <= its radius
+            window = range(spans[2][0] - 3 * R, spans[2][1] + 3 * R + 1)
+            for (lo, hi), radius in zip(spans, (R - 2, R - 1, R)):
+                within = [max(map(abs, c)) <= radius for c in expand(chain, window)]
+                assert within == [lo <= k <= hi for k in window], (chain, radius)
     # the last box is empty: 5 is a square mod 4m = 4 but not mod 4n = 8, and
     # the second form has leading coefficient a*g = +-n and discriminant D
     assert literal_slice_scan(5, 1, 2, 3) == set()
@@ -203,15 +200,15 @@ def tuple_graph_oracle(D, m, n, entry_bound, slack):
     """Reference oracle: 8-tuple cubes, a levelled edge list, one union-find per level.
 
     The move graph of the seven slice-preserving moves on the whole slice
-    (the enumerated a > 0 half and its negation), built on decoded tuples
-    with explicit neighbour tuples; the count at radius R + slack and the
-    count with the outer shell's edges come from two separate union-find
+    (the expanded chains, their sign flips and their negations), built on
+    tuples with explicit neighbour tuples; the count at radius R + slack and
+    the count with the outer shell's edges come from two separate union-find
     passes over the whole edge list.  An inner box without a cube is unstable
     whenever some cube has the invariants, i.e. D is a square mod 4m and 4n.
     """
     R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
-    keys, _ = _slice_enumerate(D, m, n, R + slack + 1, _slice_roots(D, m, n))
-    half = [decode_key(key, _key_bits(R + slack + 1)) for key in keys]
+    chains = _slice_enumerate(D, m, n, R, slack, _slice_roots(D, m, n))
+    half = with_sign_flips(c for chain in chains for c in expand(chain))
     # the set makes cubes_enumerated differ from the oracle's if a cube repeats
     cubes = sorted(set(half) | {tuple(-v for v in c) for c in half})
     index_of = {cube: i for i, cube in enumerate(cubes)}
@@ -251,8 +248,8 @@ def tuple_graph_oracle(D, m, n, entry_bound, slack):
 
 def test_oracle_matches_tuple_graph_reference():
     unstable = set()
-    cells = ((-15, 1, 1), (-15, 1, 2), (-4, 1, 1), (-4, 2, 2), (5, 1, 2), (5, 2, 2),
-             (9, 1, 1), (12, 1, 2), (12, 2, 2))
+    cells = ((-15, 1, 1), (-15, 1, 2), (-15, 2, 1), (-4, 1, 1), (-4, 2, 2), (5, 1, 2),
+             (5, 2, 2), (9, 1, 1), (12, 1, 2), (12, 2, 1), (12, 2, 2))
     for D, m, n in cells:
         for entry_bound in (0, 1, 2, 3, None):
             for slack in (0, 1, 5):
@@ -283,8 +280,21 @@ def test_oracle_matches_formula_on_sample_cells():
 
 
 def test_oracle_frozen_counts():
-    # counts frozen from the stable enumeration (and confirmed by the formula)
-    assert orbit_count_oracle(5, 1, 1).count == 4
-    assert orbit_count_oracle(45, 3, 3).count == 16
-    assert orbit_count_oracle(9, 9, 9).count == 84
-    assert orbit_count_oracle(16, 4, 4).count == 40
+    # every field frozen from the per-cube enumeration that preceded the
+    # chains (and the counts confirmed by the formula where stable)
+    frozen = {
+        (5, 1, 1, None, 5): (4, True, 8, 5, 16832),
+        (45, 3, 3, None, 5): (16, True, 14, 5, 34848),
+        (9, 9, 9, None, 5): (84, True, 23, 5, 125952),
+        (16, 4, 4, None, 5): (40, True, 13, 5, 62024),
+        (-60, 4, 4, None, 5): (48, True, 16, 5, 101728),
+        (-4, 2, 2, None, 5): (4, True, 9, 5, 11408),
+        (12, 2, 1, None, 5): (4, True, 10, 5, 13008),
+        (-15, 2, 1, None, 5): (8, True, 11, 5, 28288),
+        (5, 1, 2, None, 5): (0, True, 9, 5, 0),
+        (-15, 1, 1, 2, 1): (8, False, 2, 1, 800),
+        (9, 1, 1, 1, 0): (24, False, 1, 0, 432),
+        (-4, 1, 1, 0, 5): (0, False, 0, 5, 2760),
+    }
+    for (D, m, n, entry_bound, slack), fields in frozen.items():
+        assert orbit_count_oracle(D, m, n, entry_bound, slack) == OracleCount(*fields), (D, m, n)
