@@ -70,7 +70,6 @@ from .quadring import (
     classes_with_norm,
     fiber_count,
     fiber_sums,
-    form_from_class,
     ideal_class_pairs,
     level_counts,
     pair_fiber,

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .congruence import (
     DomainError,
@@ -84,12 +83,11 @@ _RANGE_MINIMA = {"Dmax": 1, "M": 1, "kmax": 0, "amax": 1, "T": 1}
 _CELL_FLAGS = ("D", "a1", "a2")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """One resolved invocation: subcommand, its parameters, and plumbing."""
 
     subcommand: str
-    params: dict = field(default_factory=dict)
+    params: dict
     threads: int = 1
     output: str | None = None
 
@@ -380,6 +378,8 @@ def _verify_report(config: RunConfig) -> dict:
 
 
 def _cmd_verify(config: RunConfig) -> int:
+    import json
+
     report = _verify_report(config)
     _emit([json.dumps(report, indent=2, sort_keys=True)], config.output)
     return 1 if report["status"] == "fail" else 0
@@ -410,6 +410,8 @@ def _cmd_zeta(config: RunConfig) -> int:
 
 
 def _cmd_moduli(config: RunConfig) -> int:
+    import json
+
     params = config.params
     D, a1, a2 = params["D"], params["a1"], params["a2"]
     lines = []

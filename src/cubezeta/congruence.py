@@ -26,8 +26,8 @@ L_d[m] = L(D/d^2, m/d) (0 unless d | m) per level d <= M, no gcd per cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 _INPUT_BOUND = 2**63  # factorization inputs must fit in 63 bits
 
@@ -40,8 +40,7 @@ class DomainError(ValueError):
     """An input is outside the mathematical domain of the operation."""
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Signed prime factorization: n = sign * prod(p^e)."""
 
     sign: int
@@ -416,8 +415,7 @@ def is_fundamental(D: int) -> bool:
     return is_discriminant(D) and fundamental_discriminant(D) == D
 
 
-@dataclass(frozen=True)
-class DiscriminantData:
+class DiscriminantData(NamedTuple):
     """D = D0 * D1^2 with the attached fundamental discriminant and 2-powers.
 
     alpha_map maps primes p to alpha >= 1 where p^(2*alpha) is the exact
@@ -429,7 +427,7 @@ class DiscriminantData:
     D0: int
     D1: int
     dstar: int
-    alpha_map: dict[int, int] = field(default_factory=dict)
+    alpha_map: dict[int, int]
 
 
 def discriminant_data(D: int) -> DiscriminantData:

@@ -31,14 +31,13 @@ outer shell (radius entry_bound + slack + 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .congruence import DomainError, divisors
 
 
-@dataclass(frozen=True)
-class BinaryQuadraticForm:
+class BinaryQuadraticForm(NamedTuple):
     """Integral binary quadratic form a*u^2 + b*u*v + c*v^2."""
 
     a: int
@@ -52,8 +51,7 @@ class BinaryQuadraticForm:
         return self.a * u * u + self.b * u * v + self.c * v * v
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(NamedTuple):
     """Integer cube with entries (a, b, c, d) on the front face, (e, f, g, h) back."""
 
     a: int
@@ -121,8 +119,13 @@ def is_semistable(A: Cube) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class _GroupElementFields(NamedTuple):
+    factor: int
+    k: int = 0
+    mat: tuple[tuple[int, int], tuple[int, int]] | None = None
+
+
+class GroupElement(_GroupElementFields):
     """One factor's move: lower-unipotent shear (factors 1, 2) or SL2 (factor 3).
 
     factor 1 and 2 carry a shear parameter k (matrix [[1,0],[k,1]] acting on
@@ -130,22 +133,21 @@ class GroupElement:
     ((r, s), (t, u)) with ru - st = 1.
     """
 
-    factor: int
-    k: int = 0
-    mat: tuple[tuple[int, int], tuple[int, int]] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.factor in (1, 2):
-            if self.mat is not None:
+    def __new__(cls, factor: int, k: int = 0, mat=None):
+        if factor in (1, 2):
+            if mat is not None:
                 raise DomainError("factors 1 and 2 are shears; no matrix allowed")
-        elif self.factor == 3:
-            if self.mat is None:
+        elif factor == 3:
+            if mat is None:
                 raise DomainError("factor 3 needs a unimodular matrix")
-            (r, s), (t, u) = self.mat
+            (r, s), (t, u) = mat
             if r * u - s * t != 1:
                 raise DomainError("factor 3 matrix must have determinant 1")
         else:
             raise DomainError("factor must be 1, 2 or 3")
+        return super().__new__(cls, factor, k, mat)
 
 
 def shear1(k: int) -> GroupElement:
@@ -272,8 +274,7 @@ def stabilizer_trivial(A: Cube, max_length: int = 4) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleCount:
+class OracleCount(NamedTuple):
     """Orbit count from enumeration, with the box parameters and stability flag."""
 
     count: int

@@ -42,7 +42,7 @@ sum_D sum_{m,n} B(D, m, n) m^{-s1} n^{-s2} |D|^{-w} in floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .congruence import (
     DomainError,
@@ -321,8 +321,7 @@ def standard_series(name: str, M: int, d: int | None = None) -> Coeffs:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one identity check.
 
     status: "equal" | "known_p2_discrepancy" | "known_odd_square_discrepancy"
@@ -586,13 +585,12 @@ def verify_siegel(d: int, p: int, T: int) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartialSumResult:
+class PartialSumResult(NamedTuple):
     value: float
     Dmax: int
     M: int
     converged_region: bool
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
 
 
 def partial_sum(s1: float, s2: float, w: float, Dmax: int, M: int) -> PartialSumResult:

@@ -13,14 +13,13 @@ times the number of congruence pairs.  B vanishes unless D = 0,1 mod 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .congruence import DomainError, level_grid, level_sum, solve_linear, sqrt_count, sqrt_roots
 from .cube import Cube, discriminant, form1, form2
 
 
-@dataclass(frozen=True)
-class CongruencePair:
+class CongruencePair(NamedTuple):
     """A pair of square roots of D modulo 4m and 4n, with the cofactors.
 
     x in [0, 2|m|), x^2 = D (mod 4m), s = (x^2 - D) / (4m);

@@ -21,7 +21,7 @@ implemented independently and compared exactly (``thm44_check``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .congruence import DomainError
 from .identities import IdentityReport
@@ -49,10 +49,6 @@ def p_add(f: PolyCoeff, g: PolyCoeff) -> PolyCoeff:
     return p_trim(
         (f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)
     )
-
-
-def p_neg(f: PolyCoeff) -> PolyCoeff:
-    return tuple(-c for c in f)
 
 
 def p_mul(f: PolyCoeff, g: PolyCoeff) -> PolyCoeff:
@@ -108,8 +104,7 @@ def p_format(f: PolyCoeff) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TriSeries:
+class TriSeries(NamedTuple):
     """Power series in x, y, z truncated at total degree K per variable.
 
     coeffs[l][k][t] is the PolyCoeff of x^l y^k z^t (0 <= l, k, t <= K).
@@ -155,34 +150,6 @@ def series_mul_geometric(
                 if l >= dl and k >= dk and t >= dt:
                     val = p_add(val, p_mul(scale, out.coeffs[l - dl][k - dk][t - dt]))
                 out.coeffs[l][k][t] = val
-    return out
-
-
-def series_geometric_inverse(A: TriSeries) -> TriSeries:
-    """Inverse of a series with constant coefficient 1 (triangular recurrence)."""
-    if A.coeffs[0][0][0] != P_ONE:
-        raise DomainError("inverse needs constant coefficient 1")
-    K = A.K
-    out = TriSeries.zero(K)
-    out.coeffs[0][0][0] = P_ONE
-    for l in range(K + 1):
-        for k in range(K + 1):
-            for t in range(K + 1):
-                if (l, k, t) == (0, 0, 0):
-                    continue
-                acc = P_ZERO
-                for l1 in range(l + 1):
-                    for k1 in range(k + 1):
-                        for t1 in range(t + 1):
-                            if (l1, k1, t1) == (0, 0, 0):
-                                continue
-                            c = A.coeffs[l1][k1][t1]
-                            if c:
-                                acc = p_add(
-                                    acc,
-                                    p_mul(c, out.coeffs[l - l1][k - k1][t - t1]),
-                                )
-                out.coeffs[l][k][t] = p_neg(acc)
     return out
 
 

@@ -35,7 +35,7 @@ compare the two sums with B by the same status rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .congruence import (
     DomainError,
@@ -52,15 +52,19 @@ from .identities import IdentityReport
 from .orbits import B, b_grid
 
 
-@dataclass(frozen=True)
-class QuadraticRing:
-    """The quadratic ring of discriminant D, basis <1, tau>."""
-
+class _QuadraticRingFields(NamedTuple):
     D: int
 
-    def __post_init__(self):
-        if not is_discriminant(self.D):
+
+class QuadraticRing(_QuadraticRingFields):
+    """The quadratic ring of discriminant D, basis <1, tau>."""
+
+    __slots__ = ()
+
+    def __new__(cls, D: int):
+        if not is_discriminant(D):
             raise DomainError("D must be a nonzero integer = 0 or 1 mod 4")
+        return super().__new__(cls, D)
 
     def tau_square(self) -> tuple[int, int]:
         """(c0, c1) with tau^2 = c0 + c1 * tau."""
@@ -69,8 +73,12 @@ class QuadraticRing:
         return ((self.D - 1) // 4, 1)
 
 
-@dataclass(frozen=True)
-class OrientedIdealClass:
+class _OrientedIdealClassFields(NamedTuple):
+    a: int
+    b: int
+
+
+class OrientedIdealClass(_OrientedIdealClassFields):
     """An oriented ideal class: signed a with |a| = norm, b its residue.
 
     The window is 0 <= b < 2|a|; validity of the congruence
@@ -78,14 +86,14 @@ class OrientedIdealClass:
     a discriminant (constructors below, IdealClassPair).
     """
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == 0:
+    def __new__(cls, a: int, b: int):
+        if a == 0:
             raise DomainError("class needs a nonzero leading coefficient")
-        if not 0 <= self.b < 2 * abs(self.a):
+        if not 0 <= b < 2 * abs(a):
             raise DomainError("b must lie in [0, 2|a|)")
+        return super().__new__(cls, a, b)
 
     @property
     def norm(self) -> int:
@@ -100,22 +108,24 @@ class OrientedIdealClass:
         return (self.b * self.b - D) % (4 * abs(self.a)) == 0
 
 
-@dataclass(frozen=True)
-class IdealClassPair:
-    """Two oriented ideal classes of the same ring R(D)."""
-
+class _IdealClassPairFields(NamedTuple):
     D: int
     first: OrientedIdealClass
     second: OrientedIdealClass
 
-    def __post_init__(self):
-        if not is_discriminant(self.D):
+
+class IdealClassPair(_IdealClassPairFields):
+    """Two oriented ideal classes of the same ring R(D)."""
+
+    __slots__ = ()
+
+    def __new__(cls, D: int, first: OrientedIdealClass, second: OrientedIdealClass):
+        if not is_discriminant(D):
             raise DomainError("D must be a nonzero integer = 0 or 1 mod 4")
-        for cls in (self.first, self.second):
-            if not cls.matches(self.D):
-                raise DomainError(
-                    f"(a={cls.a}, b={cls.b}) is not a class of discriminant {self.D}"
-                )
+        for c in (first, second):
+            if not c.matches(D):
+                raise DomainError(f"(a={c.a}, b={c.b}) is not a class of discriminant {D}")
+        return super().__new__(cls, D, first, second)
 
 
 def ring_ideal_from_form(
@@ -132,15 +142,6 @@ def ring_ideal_from_form(
     if D == 0:
         raise DomainError("form must have a nonzero discriminant")
     return QuadraticRing(D), OrientedIdealClass(form.a, form.b % (2 * abs(form.a)))
-
-
-def form_from_class(cls: OrientedIdealClass, D: int) -> BinaryQuadraticForm:
-    """The form (a, b, (b^2 - D)/(4a)); inverse of ring_ideal_from_form."""
-    if not is_discriminant(D):
-        raise DomainError("D must be a nonzero integer = 0 or 1 mod 4")
-    if not cls.matches(D):
-        raise DomainError(f"(a={cls.a}, b={cls.b}) is not a class of discriminant {D}")
-    return BinaryQuadraticForm(cls.a, cls.b, (cls.b * cls.b - D) // (4 * cls.a))
 
 
 def classes_with_norm(D: int, a: int) -> tuple[OrientedIdealClass, ...]:

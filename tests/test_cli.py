@@ -339,6 +339,23 @@ def test_one_process_commands_never_load_multiprocessing(argv):
     assert proc.stderr == "[]\n"
 
 
+def test_start_up_loads_neither_dataclasses_nor_json():
+    code = (
+        "import sys\n"
+        "unwanted = ('dataclasses', 'inspect', 'json')\n"
+        "from cubezeta.cli import main\n"
+        "print(sorted(name for name in unwanted if name in sys.modules))\n"
+        "assert main(['count', 'A', '--d', '5', '--a', '4']) == 0\n"
+        "print(sorted(name for name in unwanted if name in sys.modules))\n"
+        "assert main(['verify', 'thm13', '--D', '45', '--a1', '3', '--a2', '3']) == 0\n"
+    )
+    proc = python_with_src("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["[]", "2", "[]"]
+    assert json.loads("".join(lines[3:]))["status"] == "pass"
+
+
 def test_workers_fan_out_only_from_the_crossover():
     assert _workers(4, _TABLE_CROSSOVER - 1) == 1
     assert _workers(4, _TABLE_CROSSOVER) == 4

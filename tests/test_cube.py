@@ -1,5 +1,6 @@
 """Cube invariants, the group action, and the orbit-count oracle."""
 
+import pickle
 import random
 
 import pytest
@@ -107,8 +108,25 @@ def test_group_element_validation():
         sl2(1, 1, 1, 1)  # determinant 0
     with pytest.raises(DomainError):
         sl2(2, 0, 0, 1)  # determinant 2
+    for factor, k, mat in ((1, 0, ((1, 0), (0, 1))), (3, 0, None), (4, 1, None)):
+        with pytest.raises(DomainError):
+            GroupElement(factor, k, mat)
     sl2(1, 1, 0, 1)
-    sl2(2, 1, 1, 1)  # determinant 1
+    for g in (shear1(-2), shear2(3), sl2(2, 1, 1, 1)):  # the last has determinant 1
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and type(back) is GroupElement
+
+
+def test_records_keep_repr_hash_and_immutability():
+    A = Cube(1, 0, 0, 1, 0, 1, 1, 0)
+    assert repr(A) == "Cube(a=1, b=0, c=0, d=1, e=0, f=1, g=1, h=0)"
+    assert hash(A) == hash(A.entries())
+    assert repr(orbit_count_oracle(5, 1, 1)) == (
+        "OracleCount(count=4, stable=True, entry_bound=8, slack=5, cubes_enumerated=16832)"
+    )
+    for record, name in ((A, "a"), (form1(A), "c"), (shear1(1), "k")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 7)
 
 
 # ---------------------------------------------------------------------------

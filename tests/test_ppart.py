@@ -13,14 +13,12 @@ from cubezeta.ppart import (
     TriSeries,
     a2_poly,
     f_a3_convolution,
-    f_a3_expand,
     p_add,
     p_eval,
     p_format,
     p_monomial,
     p_mul,
     p_trim,
-    series_geometric_inverse,
     series_mul_geometric,
     specialization_check,
     thm44_check,
@@ -116,13 +114,6 @@ def test_geometric_multiply_matches_full_product():
 def test_geometric_multiply_rejects_constant_monomial():
     with pytest.raises(DomainError):
         series_mul_geometric(TriSeries.one(3), (0, 0, 0), 1)
-
-
-def test_series_inverse_multiplies_to_one():
-    K = 3
-    s = f_a3_expand(K)
-    assert s.coeffs[0][0][0] == P_ONE
-    assert series_mul(s, series_geometric_inverse(s)) == TriSeries.one(K)
 
 
 def test_convolution_frozen_small_coefficients():

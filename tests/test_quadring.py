@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 
 import pytest
@@ -25,7 +26,6 @@ from cubezeta.quadring import (
     classes_with_norm,
     fiber_count,
     fiber_sums,
-    form_from_class,
     ideal_class_pairs,
     level_counts,
     pair_fiber,
@@ -60,6 +60,24 @@ def test_oriented_class_validation():
         OrientedIdealClass(2, 4)  # b outside [0, 2|a|)
     with pytest.raises(DomainError):
         IdealClassPair(5, OrientedIdealClass(1, 0), OrientedIdealClass(1, 1))
+    with pytest.raises(DomainError):
+        IdealClassPair(3, OrientedIdealClass(1, 1), OrientedIdealClass(1, 1))
+    pair = ideal_class_pairs(45, 3, 3)[0]
+    assert repr(pair) == (
+        "IdealClassPair(D=45, first=OrientedIdealClass(a=-3, b=3), "
+        "second=OrientedIdealClass(a=-3, b=3))"
+    )
+    report = verify_thm13(45, 3, 3)
+    assert repr(report) == (
+        "IdentityReport(identity='thm13', params={'D': 45, 'a1': 3, 'a2': 3}, "
+        "status='equal', first_mismatch=None, findings=())"
+    )
+    for record in (QuadraticRing(-23), cls, pair, report):
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and type(back) is type(record)
+    for record, name in ((QuadraticRing(5), "D"), (cls, "b"), (pair, "first"), (report, "status")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 @settings(max_examples=200)
@@ -87,7 +105,7 @@ def test_classes_with_norm_near_10_12():
 @given(D=discriminants, a0=st.integers(min_value=1, max_value=12), sign=st.sampled_from((1, -1)))
 def test_form_class_roundtrip(D, a0, sign):
     for cls in classes_with_norm(D, sign * a0):
-        f = form_from_class(cls, D)
+        f = BinaryQuadraticForm(cls.a, cls.b, (cls.b**2 - D) // (4 * cls.a))
         assert f.discriminant() == D and f.a == cls.a
         ring, back = ring_ideal_from_form(f)
         assert ring.D == D and back == cls
