@@ -22,7 +22,9 @@ Subcommands
 Exit codes: 0 when every assertion passed (including "pass_with_findings"
 verification reports, whose defects are expected and documented), 1 when a
 verification found a real mismatch, 2 on usage errors, among them a verify
-range flag below its least value or one that the identity does not read.
+range flag below its least value or one that the identity does not read,
+and on output errors: an --output that cannot be opened, or a stdout that
+its reader closed before the output ended.
 
 The env var CUBEZETA_THREADS (or --threads) sets the worker-process count
 for range subcommands.  A ``table`` too small to repay starting a process
@@ -38,7 +40,6 @@ import argparse
 import itertools
 import os
 import sys
-from typing import NamedTuple
 
 from .congruence import (
     DomainError,
@@ -64,32 +65,10 @@ from .wmds import a3_grid, a_coeff3
 
 SCHEMA = 1
 
-IDENTITIES = ("prop21", "cor24", "prop25", "thm12", "thm44", "thm13", "siegel")
-
-# the range flags each identity reads, with their defaults
-_VERIFY_DEFAULTS = {
-    "prop21": {"Dmax": 200, "M": 200},
-    "cor24": {"Dmax": 200, "M": 200},
-    "prop25": {"Dmax": 297, "M": 100},
-    "thm12": {"Dmax": 297, "M": 64},
-    "thm44": {"kmax": 8},
-    "thm13": {"Dmax": 500, "amax": 30},
-    "siegel": {"Dmax": 200, "T": 12},
-}
-
 # the least meaningful value of each verify range flag
 _RANGE_MINIMA = {"Dmax": 1, "M": 1, "kmax": 0, "amax": 1, "T": 1}
 
 _CELL_FLAGS = ("D", "a1", "a2")
-
-
-class RunConfig(NamedTuple):
-    """One resolved invocation: subcommand, its parameters, and plumbing."""
-
-    subcommand: str
-    params: dict
-    threads: int = 1
-    output: str | None = None
 
 
 class UsageError(Exception):
@@ -160,8 +139,13 @@ def _write(texts, output: str | None) -> None:
     """Write each text as it comes, to stdout or to the output file."""
     if output is None:
         sys.stdout.writelines(texts)
+        sys.stdout.flush()  # a closed stdout raises here, inside main
     else:
-        with open(output, "w") as handle:
+        try:
+            handle = open(output, "w")
+        except OSError as exc:
+            raise UsageError(exc) from exc
+        with handle:
             handle.writelines(texts)
 
 
@@ -169,20 +153,20 @@ def _emit(lines: list, output: str | None) -> None:
     _write(["".join(line + "\n" for line in lines)], output)
 
 
-def _require(params: dict, *names: str) -> list:
+def _require(args: argparse.Namespace, *names: str) -> list:
     """The flags of ``count`` that its value needs, which argparse cannot require."""
-    missing = [name for name in names if params.get(name) is None]
+    values = [getattr(args, name) for name in names]
+    missing = [name for name, value in zip(names, values) if value is None]
     if missing:
         raise UsageError("missing required flag(s): " + ", ".join(f"--{m}" for m in missing))
-    return [params[name] for name in names]
+    return values
 
 
-def _box(params: dict) -> list:
+def _box(args: argparse.Namespace) -> list:
     """--Dmax and --Mmax of a range command; a negative one is a usage error."""
-    Dmax, Mmax = params["Dmax"], params["Mmax"]
-    if Dmax < 0 or Mmax < 0:
+    if args.Dmax < 0 or args.Mmax < 0:
         raise UsageError("--Dmax and --Mmax must be nonnegative")
-    return [Dmax, Mmax]
+    return [args.Dmax, args.Mmax]
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +206,21 @@ def _siegel_cells(Dmax: int) -> list:
     ]
 
 
-# identity: (verifier, its instances for --Dmax, the flag passed as its size);
-# an instance is the verifier's first argument, or a tuple of its first ones
-_RANGE_CHECKS = {
-    "prop21": (verify_prop21, _discriminants, "M"),
-    "cor24": (verify_cor24, _discriminants, "M"),
-    "prop25": (verify_prop25, _odd_integers, "M"),
-    "thm12": (verify_thm12, _odd_integers, "M"),
-    "thm13": (verify_thm13_scan, _discriminants, "amax"),
-    "siegel": (verify_siegel, _siegel_cells, "T"),
+# identity: (the range flags it reads with their defaults, its verifier, its
+# instances for --Dmax, the flag passed as its size); an instance is the
+# verifier's first argument, or a tuple of its first ones.  thm44 runs its
+# two checks itself (see ``_verify_report``).
+_CHECKS = {
+    "prop21": ({"Dmax": 200, "M": 200}, verify_prop21, _discriminants, "M"),
+    "cor24": ({"Dmax": 200, "M": 200}, verify_cor24, _discriminants, "M"),
+    "prop25": ({"Dmax": 297, "M": 100}, verify_prop25, _odd_integers, "M"),
+    "thm12": ({"Dmax": 297, "M": 64}, verify_thm12, _odd_integers, "M"),
+    "thm44": ({"kmax": 8}, None, None, None),
+    "thm13": ({"Dmax": 500, "amax": 30}, verify_thm13_scan, _discriminants, "amax"),
+    "siegel": ({"Dmax": 200, "T": 12}, verify_siegel, _siegel_cells, "T"),
 }
+
+IDENTITIES = tuple(_CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -239,33 +228,24 @@ _RANGE_CHECKS = {
 # ---------------------------------------------------------------------------
 
 
-def _cmd_count(config: RunConfig) -> int:
-    params = config.params
-    what = params["what"]
-    if what == "A":
-        d, a = _require(params, "d", "a")
-        value = sqrt_count(d, a)
-    elif what == "B":
-        D, m, n = _require(params, "D", "m", "n")
-        value = B(D, m, n)
+def _cmd_count(args: argparse.Namespace) -> int:
+    if args.what == "A":
+        value = sqrt_count(*_require(args, "d", "a"))
+    elif args.what == "B":
+        value = B(*_require(args, "D", "m", "n"))
     else:  # a3
-        D, m, n = _require(params, "D", "m", "n")
-        value = a_coeff3(D, m, n)
-    _emit([str(value)], config.output)
+        value = a_coeff3(*_require(args, "D", "m", "n"))
+    _emit([str(value)], args.output)
     return 0
 
 
-def _cmd_orbits(config: RunConfig) -> int:
-    params = config.params
-    D, m, n = params["D"], params["m"], params["n"]
-    formula = B(D, m, n)
+def _cmd_orbits(args: argparse.Namespace) -> int:
+    formula = B(args.D, args.m, args.n)
     lines = [f"B = {formula}"]
-    code = 0
-    if params.get("oracle"):
+    ok = True
+    if args.oracle:
         oracle = orbit_count_oracle(
-            D, m, n,
-            entry_bound=params.get("entry_bound"),
-            slack=5 if params.get("slack") is None else params["slack"],
+            args.D, args.m, args.n, entry_bound=args.entry_bound, slack=args.slack
         )
         agree = oracle.count == formula
         lines += [
@@ -273,86 +253,68 @@ def _cmd_orbits(config: RunConfig) -> int:
             f"stable = {'true' if oracle.stable else 'false'}",
             f"agree = {'true' if agree else 'false'}",
         ]
-        if not (agree and oracle.stable):
-            code = 1
-    _emit(lines, config.output)
-    return code
+        ok = agree and oracle.stable
+    _emit(lines, args.output)
+    return 0 if ok else 1
 
 
-def _cmd_pairs(config: RunConfig) -> int:
-    params = config.params
-    D, m, n = params["D"], params["m"], params["n"]
+def _cmd_pairs(args: argparse.Namespace) -> int:
     lines = []
-    for pair in congruence_pairs(D, m, n):
+    for pair in congruence_pairs(args.D, args.m, args.n):
         row = f"{pair.x} {pair.y} {pair.s} {pair.t}"
-        if params.get("cubes"):
+        if args.cubes:
             row += " | " + " ".join(str(v) for v in cube_from_pair(pair).entries())
         lines.append(row)
-    _emit(lines, config.output)
+    _emit(lines, args.output)
     return 0
 
 
-def _cmd_ppart(config: RunConfig) -> int:
-    params = config.params
-    kmax = params["kmax"]
+def _cmd_ppart(args: argparse.Namespace) -> int:
+    kmax, p = args.kmax, args.p
     if kmax < 0:
         raise UsageError("--kmax must be nonnegative")
-    p = params.get("p")
-    series = f_a3_expand(kmax)
+    coeffs = f_a3_expand(kmax).coeffs
     lines = []
-    for l in range(kmax + 1):
-        for k in range(kmax + 1):
-            for t in range(kmax + 1):
-                c = series.coeffs[l][k][t]
-                value = p_eval(c, p) if p is not None else p_format(c)
-                lines.append(f"{l} {k} {t} {value}")
-    _emit(lines, config.output)
+    for l, k, t in itertools.product(range(kmax + 1), repeat=3):
+        c = coeffs[l][k][t]
+        lines.append(f"{l} {k} {t} {p_eval(c, p) if p is not None else p_format(c)}")
+    _emit(lines, args.output)
     return 0
 
 
 def _aggregate_reports(identity: str, params: dict, reports: list) -> dict:
-    findings: list = []
-    first_known = None
-    for rep in reports:
-        if rep.status == "mismatch":
-            return {
-                "schema": SCHEMA,
-                "identity": identity,
-                "params": params,
-                "checked": len(reports),
-                "status": "fail",
-                "first_mismatch": {"instance": rep.params, **(rep.first_mismatch or {})},
-                "findings": list(rep.findings),
-            }
-    for rep in reports:
-        if rep.status != "equal":
-            if first_known is None:
-                first_known = {"instance": rep.params, **(rep.first_mismatch or {})}
-            for text in rep.findings:
-                if text not in findings:
-                    findings.append(text)
+    """The verify JSON of a run's reports: the first mismatch alone gives the
+    instance and findings; else the first report not "equal" gives the
+    instance, and all such reports give their findings, each once.
+    """
+    flagged = [rep for rep in reports if rep.status != "equal"]
+    failed = [rep for rep in flagged if rep.status == "mismatch"][:1]
+    shown = failed or flagged
     return {
         "schema": SCHEMA,
         "identity": identity,
         "params": params,
         "checked": len(reports),
-        "status": "pass" if first_known is None else "pass_with_findings",
-        "first_mismatch": first_known,
-        "findings": findings,
+        "status": "fail" if failed else "pass_with_findings" if flagged else "pass",
+        "first_mismatch": (
+            {"instance": shown[0].params, **(shown[0].first_mismatch or {})} if shown else None
+        ),
+        "findings": list(dict.fromkeys(text for rep in shown for text in rep.findings)),
     }
 
 
-def _verify_report(config: RunConfig) -> dict:
-    identity = config.params["identity"]
+def _verify_report(args: argparse.Namespace) -> dict:
+    identity = args.identity
+    defaults, verifier, instances, size = _CHECKS[identity]
     given = {
-        key: config.params[key]
+        key: getattr(args, key)
         for key in (*_RANGE_MINIMA, *_CELL_FLAGS)
-        if config.params.get(key) is not None
+        if getattr(args, key) is not None
     }
     for key, least in _RANGE_MINIMA.items():
         if given.get(key, least) < least:
             raise UsageError(f"--{key} must be at least {least}")
-        if key in given and key not in _VERIFY_DEFAULTS[identity]:
+        if key in given and key not in defaults:
             raise UsageError(f"verify {identity} does not read --{key}")
     cell = [given[key] for key in _CELL_FLAGS if key in given]
     if cell:
@@ -363,93 +325,61 @@ def _verify_report(config: RunConfig) -> dict:
             )
         report = verify_thm13(*cell)
         return _aggregate_reports(identity, dict(report.params), [report])
-    params = {**_VERIFY_DEFAULTS[identity], **given}
-    if identity == "thm44":
+    params = {**defaults, **given}
+    if verifier is None:  # thm44
         kmax = params["kmax"]
         reports = [thm44_check(kmax), specialization_check(min(kmax, 6))]
     else:
-        verifier, instances, size = _RANGE_CHECKS[identity]
         items = [
             (*x, params[size]) if isinstance(x, tuple) else (x, params[size])
             for x in instances(params["Dmax"])
         ]
-        reports = list(_map_ordered(verifier, items, config.threads))
+        reports = list(_map_ordered(verifier, items, args.threads))
     return _aggregate_reports(identity, params, reports)
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     import json
 
-    report = _verify_report(config)
-    _emit([json.dumps(report, indent=2, sort_keys=True)], config.output)
+    report = _verify_report(args)
+    _emit([json.dumps(report, indent=2, sort_keys=True)], args.output)
     return 1 if report["status"] == "fail" else 0
 
 
-def _cmd_table(config: RunConfig) -> int:
-    params = config.params
-    what = params["what"]
-    Dmax, Mmax = _box(params)
-    worker = _row_chunk_B if what == "B" else _row_chunk_a3
-    header = "D,m,n,B" if what == "B" else "D,m,n,a,chi_m,chi_n"
+def _cmd_table(args: argparse.Namespace) -> int:
+    Dmax, Mmax = _box(args)
+    worker = _row_chunk_B if args.what == "B" else _row_chunk_a3
+    header = "D,m,n,B" if args.what == "B" else "D,m,n,a,chi_m,chi_n"
     items = [(D, Mmax) for D in _discriminants(Dmax)]
-    threads = _workers(config.threads, len(items) * Mmax * Mmax)
+    threads = _workers(args.threads, len(items) * Mmax * Mmax)
     chunks = _map_ordered(worker, items, threads)
-    _write(itertools.chain([header + "\n"], chunks), config.output)
+    _write(itertools.chain([header + "\n"], chunks), args.output)
     return 0
 
 
-def _cmd_zeta(config: RunConfig) -> int:
-    params = config.params
-    s1, s2, w = params["s1"], params["s2"], params["w"]
-    Dmax, Mmax = _box(params)
-    result = partial_sum(s1, s2, w, Dmax, Mmax)
+def _cmd_zeta(args: argparse.Namespace) -> int:
+    result = partial_sum(args.s1, args.s2, args.w, *_box(args))
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    _emit([f"{result.value:.15g}"], config.output)
+    _emit([f"{result.value:.15g}"], args.output)
     return 0
 
 
-def _cmd_moduli(config: RunConfig) -> int:
+def _cmd_moduli(args: argparse.Namespace) -> int:
     import json
 
-    params = config.params
-    D, a1, a2 = params["D"], params["a1"], params["a2"]
-    lines = []
-    for pair in ideal_class_pairs(D, a1, a2):
-        lines.append(
-            json.dumps(
-                {
-                    "D": D,
-                    "a1": pair.first.a,
-                    "b1": pair.first.b,
-                    "a2": pair.second.a,
-                    "b2": pair.second.b,
-                    "fiber": pair_fiber(pair),
-                }
-            )
-        )
-    _emit(lines, config.output)
+    lines = [
+        json.dumps({"D": args.D, "a1": pair.first.a, "b1": pair.first.b,
+                    "a2": pair.second.a, "b2": pair.second.b, "fiber": pair_fiber(pair)})
+        for pair in ideal_class_pairs(args.D, args.a1, args.a2)
+    ]
+    _emit(lines, args.output)
     return 0
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "orbits": _cmd_orbits,
-    "pairs": _cmd_pairs,
-    "ppart": _cmd_ppart,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
-    "zeta": _cmd_zeta,
-    "moduli": _cmd_moduli,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one resolved invocation; returns the process exit code."""
-    handler = _HANDLERS.get(config.subcommand)
-    if handler is None:
-        raise UsageError(f"unknown subcommand {config.subcommand!r}")
-    return handler(config)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation; returns the process exit code."""
+    return args.handler(args)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, help="discriminant (count B / a3)")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
+    p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("orbits", parents=[common],
                        help="orbit count of one cell, optionally vs the enumeration oracle")
@@ -485,7 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--entry-bound", dest="entry_bound", type=int, default=None)
-    p.add_argument("--slack", type=int, default=None)
+    p.add_argument("--slack", type=int, default=5)
+    p.set_defaults(handler=_cmd_orbits)
 
     p = sub.add_parser("pairs", parents=[common], help="congruence pairs of one cell")
     p.add_argument("--D", type=int, required=True)
@@ -493,11 +425,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cubes", action="store_true",
                    help="append the cube representative of each pair")
+    p.set_defaults(handler=_cmd_pairs)
 
     p = sub.add_parser("ppart", parents=[common],
                        help="trivariate prime-part coefficients up to an index bound")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--p", type=int, default=None, help="evaluate at this p")
+    p.set_defaults(handler=_cmd_ppart)
 
     p = sub.add_parser("verify", parents=[common], help="run one identity check")
     p.add_argument("identity", choices=list(IDENTITIES))
@@ -509,11 +443,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, help="single-cell mode (thm13)")
     p.add_argument("--a1", type=int, help="single-cell mode (thm13)")
     p.add_argument("--a2", type=int, help="single-cell mode (thm13)")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("table", parents=[common], help="CSV table over a (D, m, n) box")
     p.add_argument("what", choices=["B", "a3"])
     p.add_argument("--Dmax", type=int, required=True)
     p.add_argument("--Mmax", type=int, required=True)
+    p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("zeta", parents=[common],
                        help="floating truncation of the three-variable Dirichlet sum")
@@ -522,12 +458,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--Dmax", type=int, required=True)
     p.add_argument("--Mmax", type=int, required=True)
+    p.set_defaults(handler=_cmd_zeta)
 
     p = sub.add_parser("moduli", parents=[common],
                        help="oriented ideal-class pairs of one cell, JSON per line")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--a1", type=int, required=True)
     p.add_argument("--a2", type=int, required=True)
+    p.set_defaults(handler=_cmd_moduli)
 
     return parser
 
@@ -544,32 +482,21 @@ def _resolve_threads(flag: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def config_from_args(argv=None) -> RunConfig:
-    parser = _build_parser()
-    ns = vars(parser.parse_args(argv))
-    subcommand = ns.pop("subcommand")
-    threads = _resolve_threads(ns.pop("threads"))
-    output = ns.pop("output")
-    return RunConfig(
-        subcommand=subcommand,
-        params=ns,
-        threads=threads,
-        output=output,
-    )
-
-
 def main(argv=None) -> int:
     try:
-        config = config_from_args(argv)
-        return run(config)
+        args = _build_parser().parse_args(argv)
+        args.threads = _resolve_threads(args.threads)
+        return run(args)
     except SystemExit as exc:
         # argparse exits itself on usage errors / --help; surface the code
         return int(exc.code or 0)
-    except UsageError as exc:
+    except (UsageError, DomainError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, RangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does); what is still buffered
+        # goes to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -286,10 +286,10 @@ def _series_p_prime(d: int, M: int) -> Coeffs:
 
 
 _STANDARD = {
-    "zeta": lambda M: _series_zeta(M),
-    "zeta2s_inverse": lambda M: _series_zeta2s_inverse(M),
-    "zeta_odd_2s_inverse": lambda M: _series_zeta_odd_2s_inverse(M),
-    "two_factor": lambda M: _series_two_factor(M),
+    "zeta": _series_zeta,
+    "zeta2s_inverse": _series_zeta2s_inverse,
+    "zeta_odd_2s_inverse": _series_zeta_odd_2s_inverse,
+    "two_factor": _series_two_factor,
 }
 
 _STANDARD_D = {

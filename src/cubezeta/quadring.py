@@ -168,17 +168,17 @@ def ideal_class_pairs(D: int, a1: int, a2: int) -> tuple[IdealClassPair, ...]:
     """All ordered pairs of classes with norms a1, a2 (both orientations).
 
     a1, a2 are positive norms; each slot ranges over both signs.  Pairs are
-    ordered by (first.a, first.b, second.a, second.b).
+    ordered by (first.a, first.b, second.a, second.b): ``_oriented_classes``
+    lists the negative a first, each sign by ascending b, and the product is
+    taken first-major.
     """
     if a1 < 1 or a2 < 1:
         raise RangeError("norms must be positive")
-    pairs = [
+    return tuple(
         IdealClassPair(D, c1, c2)
         for c1 in _oriented_classes(D, a1)
         for c2 in _oriented_classes(D, a2)
-    ]
-    pairs.sort(key=lambda p: (p.first.a, p.first.b, p.second.a, p.second.b))
-    return tuple(pairs)
+    )
 
 
 def pair_from_cube(A: Cube) -> IdealClassPair:

@@ -13,6 +13,7 @@ import pytest
 import cubezeta
 from cubezeta.cli import (
     _TABLE_CROSSOVER,
+    _aggregate_reports,
     _discriminants,
     _map_ordered,
     _row_chunk_B,
@@ -22,6 +23,7 @@ from cubezeta.cli import (
 import cubezeta.identities
 import cubezeta.ppart
 from cubezeta.congruence import sqrt_count
+from cubezeta.identities import IdentityReport
 from cubezeta.orbits import B
 from cubezeta.quadring import verify_thm13_scan
 
@@ -75,12 +77,16 @@ def test_orbits_oracle_negative_box_exits_2(capsys):
         assert "nonnegative" in err
 
 
+def src_env() -> dict:
+    """The environment with this checkout's src on PYTHONPATH."""
+    src = str(Path(cubezeta.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def python_with_src(*args) -> subprocess.CompletedProcess:
     """Run the interpreter on args with this checkout's src on PYTHONPATH."""
-    src = str(Path(cubezeta.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], env=src_env(), capture_output=True,
                           text=True, timeout=60)
 
 
@@ -266,6 +272,31 @@ def test_verify_siegel_failing_report_bytes(capsys, monkeypatch):
         1, _SIEGEL_FAIL, "")
 
 
+def _report(status, *findings, instance=0):
+    return IdentityReport("test", {"i": instance}, status,
+                          None if status == "equal" else {"n": instance}, findings)
+
+
+def test_aggregate_reports_rule():
+    known, mismatch = "known_p2_discrepancy", "mismatch"
+    reports = [_report(known, "f1", instance=1), _report(mismatch, "f2", instance=2),
+               _report(known, "f3", instance=3), _report(mismatch, "f4", instance=4)]
+    doc = _aggregate_reports("test", {}, reports)
+    assert (doc["status"], doc["checked"]) == ("fail", 4)
+    assert doc["first_mismatch"] == {"instance": {"i": 2}, "n": 2}
+    assert doc["findings"] == ["f2"]
+    reports = [_report("equal", instance=1), _report(known, "f1", instance=2),
+               _report(known, "f1", "f2", instance=3)]
+    doc = _aggregate_reports("test", {"M": 5}, reports)
+    assert (doc["status"], doc["params"]) == ("pass_with_findings", {"M": 5})
+    assert doc["first_mismatch"] == {"instance": {"i": 2}, "n": 2}
+    assert doc["findings"] == ["f1", "f2"]
+    doc = _aggregate_reports("test", {}, [_report("equal"), _report("equal")])
+    assert (doc["status"], doc["first_mismatch"], doc["findings"]) == ("pass", None, [])
+    assert sorted(doc) == ["checked", "findings", "first_mismatch", "identity", "params",
+                           "schema", "status"]
+
+
 def test_verify_thm13_single_cell(capsys):
     code, out, _ = run(capsys, "verify", "thm13", "--D", "9", "--a1", "9", "--a2", "9")
     assert code == 0
@@ -308,6 +339,25 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "D,m,n,B"
     _, out, _ = run(capsys, "table", "B", "--Dmax", "5", "--Mmax", "2")
     assert target.read_bytes() == out.encode()
+
+
+def test_output_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "count", "A", "--d", "5", "--a", "4", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    argv = ["table", "B", "--Dmax", "600", "--Mmax", "40", "--threads", "1"]
+    proc = subprocess.Popen([sys.executable, "-m", "cubezeta.cli", *argv], env=src_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "D,m,n,B\n"
+    proc.stdout.close()  # as `| head -1` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_thread_count_does_not_change_output(capsys):
