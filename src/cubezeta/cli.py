@@ -24,7 +24,16 @@ verification reports, whose defects are expected and documented), 1 when a
 verification found a real mismatch, 2 on usage errors, among them a verify
 range flag below its least value or one that the identity does not read,
 and on output errors: an --output that cannot be opened, or a stdout that
-its reader closed before the output ended.
+its reader closed before the output ended.  ``main`` opens --output before
+the command runs, so a path that cannot be opened fails at once, and a
+command that fails after that leaves the file empty or partly written.
+
+Start-up loads only what a command reads.  This module imports
+``congruence``, which every command reads; each handler imports the rest of
+what it reads when it runs (``count A`` nothing more, ``table B`` ``orbits``
+and with it ``cube``), and ``verify`` looks its verifier up by name.  The
+other library modules stay registered but unrun (see the package
+docstring).
 
 The env var CUBEZETA_THREADS (or --threads) sets the worker-process count
 for range subcommands.  A ``table`` too small to repay starting a process
@@ -37,6 +46,7 @@ output is byte-identical for every parallelism degree.
 from __future__ import annotations
 
 import argparse
+import importlib
 import itertools
 import os
 import sys
@@ -49,19 +59,6 @@ from .congruence import (
     hat,
     sqrt_count,
 )
-from .cube import orbit_count_oracle
-from .identities import (
-    partial_sum,
-    verify_cor24,
-    verify_prop21,
-    verify_prop25,
-    verify_siegel,
-    verify_thm12,
-)
-from .orbits import B, b_grid, congruence_pairs, cube_from_pair
-from .ppart import f_a3_expand, p_eval, p_format, specialization_check, thm44_check
-from .quadring import ideal_class_pairs, pair_fiber, verify_thm13, verify_thm13_scan
-from .wmds import a3_grid, a_coeff3
 
 SCHEMA = 1
 
@@ -135,21 +132,14 @@ def _map_ordered(fn, items, threads: int):
             yield from pending.pop(0).result()
 
 
-def _write(texts, output: str | None) -> None:
-    """Write each text as it comes, to stdout or to the output file."""
-    if output is None:
-        sys.stdout.writelines(texts)
-        sys.stdout.flush()  # a closed stdout raises here, inside main
-    else:
-        try:
-            handle = open(output, "w")
-        except OSError as exc:
-            raise UsageError(exc) from exc
-        with handle:
-            handle.writelines(texts)
+def _write(texts, output) -> None:
+    """Write each text as it comes, to stdout or to the output file that main opened."""
+    out = output or sys.stdout
+    out.writelines(texts)
+    out.flush()  # a closed stdout raises here, inside main
 
 
-def _emit(lines: list, output: str | None) -> None:
+def _emit(lines: list, output) -> None:
     _write(["".join(line + "\n" for line in lines)], output)
 
 
@@ -176,6 +166,8 @@ def _box(args: argparse.Namespace) -> list:
 
 def _row_chunk_B(D: int, Mmax: int) -> str:
     """The table rows of D; the cells "n,B\\n" of equal grid rows are built once."""
+    from .orbits import b_grid
+
     cells = {}
     rows = []
     for m, row in enumerate(b_grid(D, Mmax)[1:], 1):
@@ -188,6 +180,8 @@ def _row_chunk_B(D: int, Mmax: int) -> str:
 
 
 def _row_chunk_a3(D: int, Mmax: int) -> str:
+    from .wmds import a3_grid
+
     chis = [0] + [chi(D, hat(m, D)) for m in range(1, Mmax + 1)]
     grid = a3_grid(D, Mmax)
     return "".join(
@@ -206,18 +200,19 @@ def _siegel_cells(Dmax: int) -> list:
     ]
 
 
-# identity: (the range flags it reads with their defaults, its verifier, its
-# instances for --Dmax, the flag passed as its size); an instance is the
-# verifier's first argument, or a tuple of its first ones.  thm44 runs its
-# two checks itself (see ``_verify_report``).
+# identity: (the range flags it reads with their defaults, its verifier as
+# "module.function", its instances for --Dmax, the flag passed as its size);
+# an instance is the verifier's first argument, or a tuple of its first ones.
+# The verifier is looked up when the check runs, so only its module loads.
+# thm44 runs its two checks itself (see ``_verify_report``).
 _CHECKS = {
-    "prop21": ({"Dmax": 200, "M": 200}, verify_prop21, _discriminants, "M"),
-    "cor24": ({"Dmax": 200, "M": 200}, verify_cor24, _discriminants, "M"),
-    "prop25": ({"Dmax": 297, "M": 100}, verify_prop25, _odd_integers, "M"),
-    "thm12": ({"Dmax": 297, "M": 64}, verify_thm12, _odd_integers, "M"),
+    "prop21": ({"Dmax": 200, "M": 200}, "identities.verify_prop21", _discriminants, "M"),
+    "cor24": ({"Dmax": 200, "M": 200}, "identities.verify_cor24", _discriminants, "M"),
+    "prop25": ({"Dmax": 297, "M": 100}, "identities.verify_prop25", _odd_integers, "M"),
+    "thm12": ({"Dmax": 297, "M": 64}, "identities.verify_thm12", _odd_integers, "M"),
     "thm44": ({"kmax": 8}, None, None, None),
-    "thm13": ({"Dmax": 500, "amax": 30}, verify_thm13_scan, _discriminants, "amax"),
-    "siegel": ({"Dmax": 200, "T": 12}, verify_siegel, _siegel_cells, "T"),
+    "thm13": ({"Dmax": 500, "amax": 30}, "quadring.verify_thm13_scan", _discriminants, "amax"),
+    "siegel": ({"Dmax": 200, "T": 12}, "identities.verify_siegel", _siegel_cells, "T"),
 }
 
 IDENTITIES = tuple(_CHECKS)
@@ -232,14 +227,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.what == "A":
         value = sqrt_count(*_require(args, "d", "a"))
     elif args.what == "B":
+        from .orbits import B
+
         value = B(*_require(args, "D", "m", "n"))
     else:  # a3
+        from .wmds import a_coeff3
+
         value = a_coeff3(*_require(args, "D", "m", "n"))
     _emit([str(value)], args.output)
     return 0
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
+    from .cube import orbit_count_oracle
+    from .orbits import B
+
     formula = B(args.D, args.m, args.n)
     lines = [f"B = {formula}"]
     ok = True
@@ -259,6 +261,8 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
 
 
 def _cmd_pairs(args: argparse.Namespace) -> int:
+    from .orbits import congruence_pairs, cube_from_pair
+
     lines = []
     for pair in congruence_pairs(args.D, args.m, args.n):
         row = f"{pair.x} {pair.y} {pair.s} {pair.t}"
@@ -270,6 +274,8 @@ def _cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def _cmd_ppart(args: argparse.Namespace) -> int:
+    from .ppart import f_a3_expand, p_eval, p_format
+
     kmax, p = args.kmax, args.p
     if kmax < 0:
         raise UsageError("--kmax must be nonnegative")
@@ -323,18 +329,24 @@ def _verify_report(args: argparse.Namespace) -> dict:
                 "--D, --a1 and --a2 select one thm13 cell: give all three, "
                 "without --Dmax or --amax"
             )
+        from .quadring import verify_thm13
+
         report = verify_thm13(*cell)
         return _aggregate_reports(identity, dict(report.params), [report])
     params = {**defaults, **given}
     if verifier is None:  # thm44
+        from .ppart import specialization_check, thm44_check
+
         kmax = params["kmax"]
         reports = [thm44_check(kmax), specialization_check(min(kmax, 6))]
     else:
+        module, _, name = verifier.partition(".")
+        check = getattr(importlib.import_module("." + module, __package__), name)
         items = [
             (*x, params[size]) if isinstance(x, tuple) else (x, params[size])
             for x in instances(params["Dmax"])
         ]
-        reports = list(_map_ordered(verifier, items, args.threads))
+        reports = list(_map_ordered(check, items, args.threads))
     return _aggregate_reports(identity, params, reports)
 
 
@@ -358,6 +370,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
+    from .identities import partial_sum
+
     result = partial_sum(args.s1, args.s2, args.w, *_box(args))
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -367,6 +381,8 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
 
 def _cmd_moduli(args: argparse.Namespace) -> int:
     import json
+
+    from .quadring import ideal_class_pairs, pair_fiber
 
     lines = [
         json.dumps({"D": args.D, "a1": pair.first.a, "b1": pair.first.b,
@@ -378,7 +394,10 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one parsed invocation; returns the process exit code."""
+    """Execute one parsed invocation; returns the process exit code.
+
+    ``args.output`` is the open output file, or None for stdout.
+    """
     return args.handler(args)
 
 
@@ -486,7 +505,14 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         args.threads = _resolve_threads(args.threads)
-        return run(args)
+        if args.output is None:
+            return run(args)
+        try:  # before the work, so that a path that cannot be opened fails at once
+            args.output = open(args.output, "w")
+        except OSError as exc:
+            raise UsageError(exc) from exc
+        with args.output:
+            return run(args)
     except SystemExit as exc:
         # argparse exits itself on usage errors / --help; surface the code
         return int(exc.code or 0)

@@ -348,6 +348,19 @@ def test_output_that_cannot_be_opened_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
 
 
+def test_output_is_opened_before_the_work(tmp_path, capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("the check ran")
+
+    # the verifier is looked up by name when the check runs; _map_ordered runs it
+    monkeypatch.setattr(cubezeta.quadring, "verify_thm13_scan", boom)
+    monkeypatch.setattr(cubezeta.cli, "_map_ordered", boom)
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "verify", "thm13", "--threads", "1", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+
+
 def test_closed_stdout_exits_2_without_a_traceback():
     argv = ["table", "B", "--Dmax", "600", "--Mmax", "40", "--threads", "1"]
     proc = subprocess.Popen([sys.executable, "-m", "cubezeta.cli", *argv], env=src_env(),
@@ -368,6 +381,15 @@ def test_thread_count_does_not_change_output(capsys):
         _, out1, _ = run(capsys, *argv, "--threads", "1")
         _, out2, _ = run(capsys, *argv, "--threads", "2")
         assert out1 == out2 and out1.count("\n") == 1 + int(Dmax) * int(Mmax) ** 2
+
+
+def test_pooled_table_in_a_fresh_process_matches_one_process():
+    # above the crossover, so --threads 2 forks a pool from a process that has
+    # not run orbits: each worker runs it on its first row chunk
+    argv = ("-m", "cubezeta.cli", "table", "B", "--Dmax", "300", "--Mmax", "32")
+    one, two = (python_with_src(*argv, "--threads", threads) for threads in ("1", "2"))
+    assert (one.returncode, one.stderr) == (two.returncode, two.stderr) == (0, "")
+    assert two.stdout == one.stdout and one.stdout.count("\n") == 1 + 300 * 32 * 32
 
 
 @pytest.mark.parametrize("argv", [
@@ -404,6 +426,50 @@ def test_start_up_loads_neither_dataclasses_nor_json():
     lines = proc.stdout.splitlines()
     assert lines[:3] == ["[]", "2", "[]"]
     assert json.loads("".join(lines[3:]))["status"] == "pass"
+
+
+_LIBRARY = ("congruence", "cube", "identities", "orbits", "ppart", "quadring", "wmds")
+
+
+def test_modules_are_registered_at_import_and_run_on_first_use():
+    code = (
+        "import sys, types\n"
+        f"library = {_LIBRARY!r}\n"
+        "def ran():  # a registered module stays a lazy subclass until its code runs\n"
+        "    return [m for m in library if type(sys.modules['cubezeta.' + m]) is types.ModuleType]\n"
+        "import cubezeta\n"
+        "print(ran())\n"
+        "from cubezeta.cli import main\n"
+        "print(ran())\n"
+        "assert main(['count', 'A', '--d', '5', '--a', '4']) == 0\n"
+        "print(ran())\n"
+        "from cubezeta import cube\n"
+        "print(type(cube) is types.ModuleType, ran())\n"
+        "for name in cubezeta.__all__:\n"
+        "    obj = getattr(cubezeta, name)\n"
+        "    if name in library:\n"
+        "        assert obj is sys.modules['cubezeta.' + name], name\n"
+        "    else:  # the object of the module that defines it\n"
+        "        assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+        "print(len(cubezeta.__all__), ran() == list(library))\n"
+    )
+    proc = python_with_src("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "['congruence']",  # every command reads it, so cli imports it
+        "2",
+        "['congruence']",
+        "True ['congruence', 'cube']",
+        "75 True",
+    ]
+
+
+def test_module_run_of_the_cli_leaves_stderr_clean_under_warnings_as_errors():
+    # runpy warns when the module it runs is in sys.modules before it starts
+    proc = python_with_src("-W", "error", "-m", "cubezeta.cli", "count", "A", "--d", "5",
+                           "--a", "4")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
 
 
 def test_workers_fan_out_only_from_the_crossover():
