@@ -30,10 +30,11 @@ command that fails after that leaves the file empty or partly written.
 
 Start-up loads only what a command reads.  This module imports
 ``congruence``, which every command reads; each handler imports the rest of
-what it reads when it runs (``count A`` nothing more, ``table B`` ``orbits``
-and with it ``cube``), and ``verify`` looks its verifier up by name.  The
-other library modules stay registered but unrun (see the package
-docstring).
+what it reads when it runs (``count A`` nothing more, ``table B``
+``orbits``, and only ``pairs --cubes`` and ``orbits --oracle`` ``cube``),
+and ``verify`` looks its verifier up by name.  The other library modules
+stay registered but unrun (see the package docstring).  ``table`` runs the
+module of its row worker before a pool forks, so that the workers inherit it.
 
 The env var CUBEZETA_THREADS (or --threads) sets the worker-process count
 for range subcommands.  A ``table`` too small to repay starting a process
@@ -51,14 +52,7 @@ import itertools
 import os
 import sys
 
-from .congruence import (
-    DomainError,
-    RangeError,
-    chi,
-    factorize,
-    hat,
-    sqrt_count,
-)
+from .congruence import DomainError, RangeError, factorize, sqrt_count
 
 SCHEMA = 1
 
@@ -180,9 +174,9 @@ def _row_chunk_B(D: int, Mmax: int) -> str:
 
 
 def _row_chunk_a3(D: int, Mmax: int) -> str:
-    from .wmds import a3_grid
+    from .wmds import a3_grid, twisted_series
 
-    chis = [0] + [chi(D, hat(m, D)) for m in range(1, Mmax + 1)]
+    chis = twisted_series(D, Mmax, coefficient=False)
     grid = a3_grid(D, Mmax)
     return "".join(
         f"{D},{m},{n},{grid[m][n]},{chis[m]},{chis[n]}\n"
@@ -239,13 +233,14 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
-    from .cube import orbit_count_oracle
     from .orbits import B
 
     formula = B(args.D, args.m, args.n)
     lines = [f"B = {formula}"]
     ok = True
     if args.oracle:
+        from .cube import orbit_count_oracle
+
         oracle = orbit_count_oracle(
             args.D, args.m, args.n, entry_bound=args.entry_bound, slack=args.slack
         )
@@ -360,8 +355,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     Dmax, Mmax = _box(args)
-    worker = _row_chunk_B if args.what == "B" else _row_chunk_a3
+    worker, module = (_row_chunk_B, ".orbits") if args.what == "B" else (_row_chunk_a3, ".wmds")
     header = "D,m,n,B" if args.what == "B" else "D,m,n,a,chi_m,chi_n"
+    # run the worker's module before a pool forks, so that no worker compiles it again
+    importlib.import_module(module, __package__)
     items = [(D, Mmax) for D in _discriminants(Dmax)]
     threads = _workers(args.threads, len(items) * Mmax * Mmax)
     chunks = _map_ordered(worker, items, threads)

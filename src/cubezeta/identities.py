@@ -35,6 +35,14 @@ Each local factor is a polynomial in q = p^{-s} built in one place: the odd
 p-factor, the 2-adic tail, the local data (alpha, chi) they read, and the
 placing of a q-polynomial on the powers of p.
 
+The multiplicative series are built in one pass from their values at prime
+powers by ``wmds.multiplicative_series``: the left sides A(d, a) and
+A(d, 4a), read from ``sqrt_count`` at prime powers only, the L-series of
+chi_d, and the twisted series of ``wmds.twisted_series``.  Every right side
+is still a coefficientwise convolution, never an Euler product.  The
+report type, ``IdentityReport``, is defined in ``report`` and re-exported
+here.
+
 ``partial_sum`` evaluates truncations of the full three-variable sum
 sum_D sum_{m,n} B(D, m, n) m^{-s1} n^{-s2} |D|^{-w} in floats.
 """
@@ -47,17 +55,16 @@ from typing import NamedTuple
 from .congruence import (
     DomainError,
     RangeError,
-    chi,
     discriminant_data,
     fundamental_discriminant,
-    hat,
     kronecker,
     mobius,
     sqrt_count,
     valuation,
 )
 from .orbits import b_grid
-from .wmds import a3_grid, a_coeff
+from .report import IdentityReport  # re-exported: every check here returns it
+from .wmds import a3_grid, multiplicative_series, twisted_series
 
 Coeffs = list  # c[0] unused; c[1..M] are the coefficients
 
@@ -155,10 +162,22 @@ def _series_zeta_odd_2s_inverse(M: int) -> Coeffs:
 
 
 def _series_l_chi(d: int, M: int) -> Coeffs:
-    out = coeffs_zero(M)
+    """L(s, chi_d): the Kronecker symbol of dstar is completely multiplicative."""
+    coeffs_zero(M)  # raises RangeError when M < 1
     dstar = fundamental_discriminant(d)
-    for n in range(1, M + 1):
-        out[n] = kronecker(dstar, n)
+    return multiplicative_series(M, lambda p, e: kronecker(dstar, p) ** e)
+
+
+def _series_root_count(d: int, M: int, c: int) -> Coeffs:
+    """A(d, c a) for a <= M, c = 1 or 4, from the prime-power values of sqrt_count.
+
+    A(d, .) is multiplicative, so A(d, c 2^k o) = A(d, c 2^k) A(d, o) for odd
+    o: the 2-adic local value is A(d, c 2^k), and odd a are scaled by A(d, c).
+    """
+    out = multiplicative_series(M, lambda p, e: sqrt_count(d, p**e * (c if p == 2 else 1)))
+    if c > 1:
+        unit = sqrt_count(d, c)
+        out[1::2] = [unit * v for v in out[1::2]]
     return out
 
 
@@ -321,24 +340,6 @@ def standard_series(name: str, M: int, d: int | None = None) -> Coeffs:
 # ---------------------------------------------------------------------------
 
 
-class IdentityReport(NamedTuple):
-    """Outcome of one identity check.
-
-    status: "equal" | "known_p2_discrepancy" | "known_odd_square_discrepancy"
-    | "mismatch".  The two known_* values mean: the closed form as usually
-    printed disagrees with direct counting, but a corrected closed form
-    agrees everywhere checked; the defect is documented in findings rather
-    than silently fixed.  "mismatch" means no characterized correction
-    restores equality.
-    """
-
-    identity: str
-    params: dict
-    status: str
-    first_mismatch: dict | None
-    findings: tuple[str, ...] = ()
-
-
 def _first_mismatch(lhs: Coeffs, rhs: Coeffs) -> dict | None:
     for n in range(1, len(lhs)):
         if lhs[n] != rhs[n]:
@@ -348,6 +349,8 @@ def _first_mismatch(lhs: Coeffs, rhs: Coeffs) -> dict | None:
 
 def _first_grid_mismatch(lhs, rhs) -> dict | None:
     for m in range(1, len(lhs)):
+        if lhs[m] == rhs[m]:
+            continue
         for n in range(1, len(lhs)):
             if lhs[m][n] != rhs[m][n]:
                 return {"m": m, "n": n, "lhs": lhs[m][n], "rhs": rhs[m][n]}
@@ -387,9 +390,7 @@ def verify_prop21(d: int, M: int) -> IdentityReport:
     """
     if not (d != 0 and d % 4 in (0, 1)):
         raise DomainError("d must be a discriminant (nonzero, 0 or 1 mod 4)")
-    lhs = coeffs_zero(M)
-    for a in range(1, M + 1):
-        lhs[a] = sqrt_count(d, a)
+    lhs = _series_root_count(d, M, 1)
     base = convolve_many(
         _series_zeta2s_inverse(M), _series_zeta(M), _series_l_chi(d, M)
     )
@@ -430,9 +431,7 @@ def verify_cor24(d: int, M: int) -> IdentityReport:
     """
     if not (d != 0 and d % 4 in (0, 1)):
         raise DomainError("d must be a discriminant (nonzero, 0 or 1 mod 4)")
-    lhs = coeffs_zero(M)
-    for a in range(1, M + 1):
-        lhs[a] = sqrt_count(d, 4 * a)
+    lhs = _series_root_count(d, M, 4)
     rhs = convolve_many(
         _series_zeta2s_inverse(M),
         _series_zeta(M),
@@ -467,13 +466,8 @@ def verify_prop25(D: int, M: int) -> IdentityReport:
     """
     if D == 0 or D % 2 == 0:
         raise DomainError("D must be odd and nonzero")
-    lhs = coeffs_zero(M)
-    for m in range(1, M + 1):
-        lhs[m] = sqrt_count(D, 4 * m)
-    twisted = coeffs_zero(M)
-    if D % 4 == 1:
-        for m in range(1, M + 1):
-            twisted[m] = chi(D, hat(m, D)) * a_coeff(D, m)
+    lhs = _series_root_count(D, M, 4)
+    twisted = twisted_series(D, M) if D % 4 == 1 else coeffs_zero(M)
     printed = convolve(convolve(_series_p_tilde2(D, M), _series_zeta(M)), twisted)
     return _printed_then_corrected(
         "prop25",
@@ -501,7 +495,7 @@ def verify_thm12(D: int, M: int) -> IdentityReport:
         raise DomainError("D must be odd and nonzero")
     H = [[0] * (M + 1) for _ in range(M + 1)]
     if D % 4 == 1:
-        chis = [0] + [chi(D, hat(m, D)) for m in range(1, M + 1)]
+        chis = twisted_series(D, M, coefficient=False)
         a3 = a3_grid(D, M)
         H = [[cm * cn * a for cn, a in zip(chis, row)] for cm, row in zip(chis, a3)]
     factor = convolve(_series_p_tilde2(D, M), _series_zeta(M))

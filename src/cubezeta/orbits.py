@@ -7,16 +7,19 @@ x^2 = D (mod 4m), y^2 = D (mod 4n) taken in the windows [0, 2|m|) and
 The total count B(D, m, n) is the divisor-level sum of ``congruence`` with
 local factor A(D', 4k) = sqrt_count(D', 4k); its level d = 1 term is four
 times the number of congruence pairs.  B vanishes unless D = 0,1 mod 4.
-``B`` computes one cell and ``b_grid`` a box.
+``B`` computes one cell and ``b_grid`` a box; neither loads ``cube``, which
+``cube_from_invariants`` imports when it builds a cube.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .congruence import DomainError, level_grid, level_sum, solve_linear, sqrt_count, sqrt_roots
-from .cube import Cube, discriminant, form1, form2
+
+if TYPE_CHECKING:  # cube is imported where a cube is built, so B and b_grid do not load it
+    from .cube import Cube
 
 
 class CongruencePair(NamedTuple):
@@ -61,6 +64,8 @@ def cube_from_invariants(D: int, m: int, n: int, x: int, y: int) -> Cube:
     f = -s/g, e is the smallest nonnegative solution of d*e = -(x-y)/2
     (mod |g|), and b = ((x-y)/2 + d*e)/g.
     """
+    from .cube import Cube, form1, form2
+
     if (x * x - D) % (4 * m) or (y * y - D) % (4 * n):
         raise DomainError("x, y must be square roots of D mod 4m, 4n")
     if (x - y) % 2:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .congruence import DomainError
-from .identities import IdentityReport
+from .report import IdentityReport
 from .wmds import a_coeff3
 
 # ---------------------------------------------------------------------------

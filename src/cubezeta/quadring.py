@@ -29,13 +29,18 @@ computes both aggregates of one cell from the counts of its two norms, the
 per-pair one as sum_{d | g} d * N1(d) * N2(d) over the divisor levels d of
 g = gcd(D1, a1, a2).  ``verify_thm13`` checks one cell and
 ``verify_thm13_scan`` every cell a1, a2 <= amax of one discriminant; both
-compare the two sums with B by the same status rule.
+compare the two sums with B by the same status rule.  Where g = 1 both
+sums are N1(1) N2(1), and the scan settles such a cell inline when that
+product equals B.
+
+The counts read no cube: ``cube`` is imported only by ``pair_from_cube``,
+so ``moduli`` and ``verify thm13`` do not load it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .congruence import (
     DomainError,
@@ -47,9 +52,11 @@ from .congruence import (
     sqrt_roots,
     squarefree_split,
 )
-from .cube import BinaryQuadraticForm, Cube, form1, form2, is_semistable
-from .identities import IdentityReport
 from .orbits import B, b_grid
+from .report import IdentityReport
+
+if TYPE_CHECKING:  # cube is imported where a cube is read, so the counts do not load it
+    from .cube import BinaryQuadraticForm, Cube
 
 
 class _QuadraticRingFields(NamedTuple):
@@ -188,6 +195,8 @@ def pair_from_cube(A: Cube) -> IdealClassPair:
     the leading coefficients of the two forms, so both classes exist.
     Constant on orbits of the group action.
     """
+    from .cube import form1, form2, is_semistable
+
     if not is_semistable(A):
         raise DomainError("cube must have nonzero invariants D, m, n")
     q1, q2 = form1(A), form2(A)
@@ -313,17 +322,23 @@ def verify_thm13_scan(D: int, amax: int) -> IdentityReport:
     and B is read from one ``b_grid``.  The first cell, in (a1, a2) order,
     whose per-pair sum differs from B is reported as a mismatch; otherwise
     the first whose constant-fiber sum differs from B is reported as the
-    known discrepancy.
+    known discrepancy.  A cell with gcd(D1, a1, a2) = 1, where both sums
+    are N1(1) N2(1), is settled inline when that product equals B; every
+    other cell goes through ``_thm13_cell``.
     """
     params = {"D": D, "amax": amax}
     D1 = discriminant_data(D).D1
     counts = {a: level_counts(D, D1, a) for a in range(1, amax + 1)}
+    ones = [0] + [counts[a][1] for a in range(1, amax + 1)]
     b = b_grid(D, amax)
     first_known = None
     for a1 in range(1, amax + 1):
+        g1, n1, row = math.gcd(D1, a1), ones[a1], b[a1]
         for a2 in range(1, amax + 1):
-            g = math.gcd(D1, a1, a2)
-            status, sums = _thm13_cell(g, counts[a1], counts[a2], b[a1][a2])
+            g = 1 if g1 == 1 else math.gcd(g1, a2)
+            if g == 1 and n1 * ones[a2] == row[a2]:
+                continue
+            status, sums = _thm13_cell(g, counts[a1], counts[a2], row[a2])
             if status == "mismatch":
                 return IdentityReport(
                     "thm13", params, status, {"a1": a1, "a2": a2, **sums},

@@ -8,12 +8,28 @@ sum of ``congruence`` with local factor a(D', k), the same sum as the orbit
 count B; ``a_coeff3`` computes one cell and ``a3_grid`` a box.
 
 The twisted coefficient multiplies in the quadratic character of D evaluated
-on the part of m coprime to the squarefree part of D.
+on the part of m coprime to the squarefree part of D; ``tilde_a`` computes
+one, and ``twisted_series`` the row m <= M (or the character row alone).
+That row is built by ``multiplicative_series``, which fills [f(1), ...,
+f(M)] of a multiplicative f from its values at prime powers.
 """
 
 from __future__ import annotations
 
-from .congruence import DomainError, chi, factorize, hat, level_grid, level_sum, valuation
+from functools import lru_cache
+
+from .congruence import (
+    DomainError,
+    chi,
+    factorize,
+    fundamental_discriminant,
+    hat,
+    kronecker,
+    level_grid,
+    level_sum,
+    squarefree_split,
+    valuation,
+)
 
 
 def a_pp(p: int, k: int, l: int) -> int:
@@ -51,9 +67,56 @@ def a3_grid(D: int, M: int) -> list[list[int]]:
     return level_grid(D, M, a_coeff)
 
 
+@lru_cache(maxsize=None)
+def _least_prime_powers(M: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, e, n / p^e) for 2 <= n <= M, where p is the least prime of n and p^e || n."""
+    least = list(range(M + 1))
+    for p in range(2, M + 1):
+        if least[p] == p:
+            for n in range(p * p, M + 1, p):
+                least[n] = min(least[n], p)
+    out = []
+    for n in range(2, M + 1):
+        p, r, e = least[n], n // least[n], 1
+        while r % p == 0:
+            r, e = r // p, e + 1
+        out.append((p, e, r))
+    return tuple(out)
+
+
+def multiplicative_series(M: int, local) -> list[int]:
+    """[0, f(1), ..., f(M)] for the multiplicative f with f(p^e) = local(p, e).
+
+    local is called once per prime power p^e <= M; every other n is
+    f(p^e) f(n / p^e) for the least prime p of n, read from smaller entries.
+    """
+    out = [0] + [1] * M
+    for n, (p, e, r) in enumerate(_least_prime_powers(M), 2):
+        out[n] = local(p, e) if r == 1 else out[n // r] * out[r]
+    return out
+
+
 def tilde_a(D: int, m: int) -> int:
     """Character-twisted coefficient: chi(D, hat(m, D)) * a_coeff(D, m).
 
     Requires D = 0,1 mod 4 so the character is defined.
     """
     return chi(D, hat(m, D)) * a_coeff(D, m)
+
+
+def twisted_series(D: int, M: int, coefficient: bool = True) -> list[int]:
+    """[0, tilde_a(D, 1), ..., tilde_a(D, M)], from the values at prime powers.
+
+    With coefficient=False the character row chi(D, hat(m, D)) alone.  Both
+    are multiplicative in m: hat drops the primes of D0, chi(D, .) is
+    completely multiplicative, and a_coeff is the product of a_pp.
+    Requires D = 0,1 mod 4 so the character is defined.
+    """
+    d0, _ = squarefree_split(D)
+    dstar = fundamental_discriminant(D)
+
+    def local(p: int, e: int) -> int:
+        c = 1 if d0 % p == 0 else kronecker(dstar, p) ** e
+        return c * a_pp(p, valuation(D, p), e) if coefficient else c
+
+    return multiplicative_series(M, local)

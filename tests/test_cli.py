@@ -384,12 +384,30 @@ def test_thread_count_does_not_change_output(capsys):
 
 
 def test_pooled_table_in_a_fresh_process_matches_one_process():
-    # above the crossover, so --threads 2 forks a pool from a process that has
-    # not run orbits: each worker runs it on its first row chunk
+    # above the crossover, so --threads 2 forks a pool from a fresh process,
+    # whose workers inherit the orbits module that _cmd_table has run
     argv = ("-m", "cubezeta.cli", "table", "B", "--Dmax", "300", "--Mmax", "32")
     one, two = (python_with_src(*argv, "--threads", threads) for threads in ("1", "2"))
     assert (one.returncode, one.stderr) == (two.returncode, two.stderr) == (0, "")
     assert two.stdout == one.stdout and one.stdout.count("\n") == 1 + 300 * 32 * 32
+
+
+@pytest.mark.parametrize("what, module", [("B", "orbits"), ("a3", "wmds")])
+def test_table_runs_its_row_module_before_the_pool_starts(what, module):
+    code = (
+        "import os, sys, types\n"
+        "from cubezeta import cli\n"
+        "real = cli._map_ordered\n"
+        "def spy(fn, items, threads):  # where the pool would fork its workers\n"
+        f"    lazy = type(sys.modules['cubezeta.{module}']) is not types.ModuleType\n"
+        "    print('lazy' if lazy else 'run', file=sys.stderr)\n"
+        "    return real(fn, items, threads)\n"
+        "cli._map_ordered = spy\n"
+        f"argv = ['table', '{what}', '--Dmax', '4', '--Mmax', '2', '--output', os.devnull]\n"
+        "assert cli.main(argv) == 0\n"
+    )
+    proc = python_with_src("-c", code)
+    assert (proc.returncode, proc.stderr) == (0, "run\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -433,7 +451,7 @@ _LIBRARY = ("congruence", "cube", "identities", "orbits", "ppart", "quadring", "
 
 def test_modules_are_registered_at_import_and_run_on_first_use():
     code = (
-        "import sys, types\n"
+        "import os, sys, types\n"
         f"library = {_LIBRARY!r}\n"
         "def ran():  # a registered module stays a lazy subclass until its code runs\n"
         "    return [m for m in library if type(sys.modules['cubezeta.' + m]) is types.ModuleType]\n"
@@ -443,6 +461,14 @@ def test_modules_are_registered_at_import_and_run_on_first_use():
         "print(ran())\n"
         "assert main(['count', 'A', '--d', '5', '--a', '4']) == 0\n"
         "print(ran())\n"
+        "def runs(*argv):  # the modules that have run after the command, written to devnull\n"
+        "    assert main([*argv, '--output', os.devnull]) == 0\n"
+        "    print(ran())\n"
+        "runs('count', 'B', '--D', '5', '--m', '2', '--n', '2')\n"
+        "runs('ppart', '--kmax', '2')\n"
+        "runs('moduli', '--D', '-36', '--a1', '2', '--a2', '4')\n"
+        "runs('verify', 'thm13', '--D', '-36', '--a1', '2', '--a2', '4')\n"
+        "runs('pairs', '--D', '5', '--m', '1', '--n', '1', '--cubes')\n"
         "from cubezeta import cube\n"
         "print(type(cube) is types.ModuleType, ran())\n"
         "for name in cubezeta.__all__:\n"
@@ -460,7 +486,12 @@ def test_modules_are_registered_at_import_and_run_on_first_use():
         "['congruence']",  # every command reads it, so cli imports it
         "2",
         "['congruence']",
-        "True ['congruence', 'cube']",
+        "['congruence', 'orbits']",  # count B: no cube
+        "['congruence', 'orbits', 'ppart', 'wmds']",  # ppart: no identities
+        "['congruence', 'orbits', 'ppart', 'quadring', 'wmds']",  # moduli: no cube, no identities
+        "['congruence', 'orbits', 'ppart', 'quadring', 'wmds']",  # one thm13 cell: the same
+        "['congruence', 'cube', 'orbits', 'ppart', 'quadring', 'wmds']",  # pairs --cubes
+        "True ['congruence', 'cube', 'orbits', 'ppart', 'quadring', 'wmds']",
         "75 True",
     ]
 

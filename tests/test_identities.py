@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubezeta.congruence import DomainError, chi, is_discriminant
+from cubezeta.congruence import (
+    DomainError,
+    RangeError,
+    chi,
+    fundamental_discriminant,
+    is_discriminant,
+    kronecker,
+    sqrt_count,
+    sqrt_count_direct,
+)
 from cubezeta.identities import (
+    _series_root_count,
     convolve,
     convolve_many,
     partial_sum,
@@ -41,6 +51,34 @@ def test_standard_series_l_chi_matches_character():
     for d in (5, -4, 12, -23):
         arr = standard_series("L_chi", 30, d=d)
         assert arr == [0] + [chi(d, n) for n in range(1, 31)]
+
+
+def test_sieved_series_match_the_per_coefficient_functions():
+    """A(d, a), A(d, 4a) and L(s, chi_d) from prime-power values, for |d| <= 100.
+
+    The root counts are taken for every nonzero d: the discriminants, squares
+    and p^2 | d among them, and the odd d = 3 mod 4 that prop25 reads.
+    """
+    for d in range(-100, 101):
+        if d == 0:
+            continue
+        counts, counts4 = _series_root_count(d, 200, 1), _series_root_count(d, 200, 4)
+        assert counts == [0] + [sqrt_count(d, a) for a in range(1, 201)], d
+        assert counts4 == [0] + [sqrt_count(d, 4 * a) for a in range(1, 201)], d
+        assert counts[:61] == [0] + [sqrt_count_direct(d, a) for a in range(1, 61)], d
+        assert counts4[:61] == [0] + [sqrt_count_direct(d, 4 * a) for a in range(1, 61)], d
+        if is_discriminant(d):
+            dstar = fundamental_discriminant(d)
+            assert standard_series("L_chi", 200, d) == [0] + [
+                kronecker(dstar, n) for n in range(1, 201)
+            ], d
+
+
+@pytest.mark.parametrize("verify", [verify_prop21, verify_cor24, verify_prop25, verify_thm12])
+@pytest.mark.parametrize("M", [0, -1])
+def test_verifiers_reject_a_cutoff_below_one(verify, M):
+    with pytest.raises(RangeError):
+        verify(5, M)
 
 
 def test_standard_series_rejects_unknown_name():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubezeta import quadring
 from cubezeta.congruence import (
     DomainError,
     RangeError,
@@ -239,3 +240,22 @@ def test_verify_thm13_scan_matches_the_single_cell_check():
             (a1, a2), rep = first
             sums = {k: v for k, v in rep.first_mismatch.items() if k != "pairs"}
             assert scan.first_mismatch == {"a1": a1, "a2": a2, **sums}, (D, amax)
+
+
+@pytest.mark.parametrize("cell", [(3, 5), (2, 4)], ids=["gcd-1", "gcd-2"])
+def test_verify_thm13_scan_reports_a_b_one_off_at_its_cell(monkeypatch, cell):
+    """A one-off B is a mismatch at exactly its cell, whether the scan settles
+    the cell inline (gcd(D1, a1, a2) = 1) or by its level sums (here 2)."""
+    D, (a1, a2) = -36, cell  # D1 = 6
+    real = quadring.b_grid
+
+    def one_off(D, amax):
+        grid = real(D, amax)
+        grid[a1][a2] += 1
+        return grid
+
+    monkeypatch.setattr(quadring, "b_grid", one_off)
+    report = verify_thm13_scan(D, 12)
+    assert report.status == "mismatch"
+    assert (report.first_mismatch["a1"], report.first_mismatch["a2"]) == cell
+    assert report.first_mismatch["B"] == B(D, a1, a2) + 1

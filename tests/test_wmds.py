@@ -22,7 +22,7 @@ from cubezeta.congruence import (
     sqrt_count,
     squarefree_split,
 )
-from cubezeta.wmds import a_coeff, a_coeff3, a_pp, tilde_a
+from cubezeta.wmds import a_coeff, a_coeff3, a_pp, tilde_a, twisted_series
 
 
 def test_a_pp_frozen_values():
@@ -106,6 +106,16 @@ def test_tilde_a_frozen_values():
     for D in (5, -4, 45, -500):
         assert tilde_a(D, 1) == 1
     assert tilde_a(12, 3) == 0  # coefficient vanishes at odd valuation
+
+
+def test_twisted_series_matches_tilde_a():
+    for D in range(-100, 101):
+        if not is_discriminant(D):
+            continue
+        assert twisted_series(D, 200) == [0] + [tilde_a(D, m) for m in range(1, 201)], D
+        assert twisted_series(D, 200, coefficient=False) == [0] + [
+            chi(D, hat(m, D)) for m in range(1, 201)
+        ], D
 
 
 def test_tilde_a_requires_discriminant_shape():
