@@ -11,15 +11,11 @@ from pathlib import Path
 import pytest
 
 import cubezeta
-from cubezeta.cli import (
-    _TABLE_CROSSOVER,
-    _aggregate_reports,
-    _discriminants,
-    _map_ordered,
-    _row_chunk_B,
-    _workers,
-    main,
-)
+import cubezeta.commands.verify
+from cubezeta.cli import IDENTITIES, main
+from cubezeta.commands import _discriminants, _map_ordered
+from cubezeta.commands.table import _TABLE_CROSSOVER, _row_chunk_B, _workers
+from cubezeta.commands.verify import _aggregate_reports
 import cubezeta.identities
 import cubezeta.ppart
 from cubezeta.congruence import sqrt_count
@@ -354,7 +350,7 @@ def test_output_is_opened_before_the_work(tmp_path, capsys, monkeypatch):
 
     # the verifier is looked up by name when the check runs; _map_ordered runs it
     monkeypatch.setattr(cubezeta.quadring, "verify_thm13_scan", boom)
-    monkeypatch.setattr(cubezeta.cli, "_map_ordered", boom)
+    monkeypatch.setattr(cubezeta.commands.verify, "_map_ordered", boom)
     target = tmp_path / "missing" / "x"
     code, out, err = run(capsys, "verify", "thm13", "--threads", "1", "--output", str(target))
     assert (code, out) == (2, "")
@@ -397,12 +393,13 @@ def test_table_runs_its_row_module_before_the_pool_starts(what, module):
     code = (
         "import os, sys, types\n"
         "from cubezeta import cli\n"
-        "real = cli._map_ordered\n"
+        "from cubezeta.commands import table\n"
+        "real = table._map_ordered\n"
         "def spy(fn, items, threads):  # where the pool would fork its workers\n"
         f"    lazy = type(sys.modules['cubezeta.{module}']) is not types.ModuleType\n"
         "    print('lazy' if lazy else 'run', file=sys.stderr)\n"
         "    return real(fn, items, threads)\n"
-        "cli._map_ordered = spy\n"
+        "table._map_ordered = spy\n"
         f"argv = ['table', '{what}', '--Dmax', '4', '--Mmax', '2', '--output', os.devnull]\n"
         "assert cli.main(argv) == 0\n"
     )
@@ -455,15 +452,18 @@ def test_modules_are_registered_at_import_and_run_on_first_use():
         f"library = {_LIBRARY!r}\n"
         "def ran():  # a registered module stays a lazy subclass until its code runs\n"
         "    return [m for m in library if type(sys.modules['cubezeta.' + m]) is types.ModuleType]\n"
+        "def handlers():  # the command handler modules imported so far\n"
+        "    return sorted(m.rpartition('.')[2] for m in sys.modules\n"
+        "                  if m.startswith('cubezeta.commands.'))\n"
         "import cubezeta\n"
         "print(ran())\n"
         "from cubezeta.cli import main\n"
-        "print(ran())\n"
+        "print(ran(), handlers())\n"
         "assert main(['count', 'A', '--d', '5', '--a', '4']) == 0\n"
-        "print(ran())\n"
+        "print(ran(), handlers())\n"
         "def runs(*argv):  # the modules that have run after the command, written to devnull\n"
         "    assert main([*argv, '--output', os.devnull]) == 0\n"
-        "    print(ran())\n"
+        "    print(ran(), handlers())\n"
         "runs('count', 'B', '--D', '5', '--m', '2', '--n', '2')\n"
         "runs('ppart', '--kmax', '2')\n"
         "runs('moduli', '--D', '-36', '--a1', '2', '--a2', '4')\n"
@@ -483,17 +483,84 @@ def test_modules_are_registered_at_import_and_run_on_first_use():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "[]",
-        "['congruence']",  # every command reads it, so cli imports it
+        "['congruence'] []",  # every command reads it, so cli imports it
         "2",
-        "['congruence']",
-        "['congruence', 'orbits']",  # count B: no cube
-        "['congruence', 'orbits', 'ppart', 'wmds']",  # ppart: no identities
-        "['congruence', 'orbits', 'ppart', 'quadring', 'wmds']",  # moduli: no cube, no identities
-        "['congruence', 'orbits', 'ppart', 'quadring', 'wmds']",  # one thm13 cell: the same
-        "['congruence', 'cube', 'orbits', 'ppart', 'quadring', 'wmds']",  # pairs --cubes
+        "['congruence'] ['count']",
+        "['congruence', 'orbits'] ['count']",  # count B: no cube
+        "['congruence', 'orbits', 'ppart', 'wmds'] ['count', 'ppart']",  # no identities
+        # moduli: no cube, no identities
+        "['congruence', 'orbits', 'ppart', 'quadring', 'wmds'] ['count', 'moduli', 'ppart']",
+        # one thm13 cell: the same
+        "['congruence', 'orbits', 'ppart', 'quadring', 'wmds'] "
+        "['count', 'moduli', 'ppart', 'verify']",
+        # pairs --cubes
+        "['congruence', 'cube', 'orbits', 'ppart', 'quadring', 'wmds'] "
+        "['count', 'moduli', 'pairs', 'ppart', 'verify']",
         "True ['congruence', 'cube', 'orbits', 'ppart', 'quadring', 'wmds']",
         "75 True",
     ]
+
+
+# a usage error of each command that its handler raises, so the handler module loads
+_HANDLER_USAGE_ERRORS = {
+    "count": ["count", "B", "--D", "5", "--m", "2"],
+    "orbits": ["orbits", "--D", "0", "--m", "1", "--n", "1"],
+    "pairs": ["pairs", "--D", "0", "--m", "1", "--n", "1"],
+    "ppart": ["ppart", "--kmax", "-1"],
+    "verify": ["verify", "prop21", "--Dmax", "0"],
+    "table": ["table", "B", "--Dmax", "-1", "--Mmax", "2"],
+    "zeta": ["zeta", "--s1", "2", "--s2", "2", "--w", "2", "--Dmax", "-1", "--Mmax", "2"],
+    "moduli": ["moduli", "--D", "0", "--a1", "1", "--a2", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(cubezeta.cli._COMMANDS))
+def test_each_command_under_dash_m_loads_cli_once_and_only_its_handler(command):
+    # -X importtime logs each module that an import statement loads, and -v
+    # writes "import 'name'" for each module imported by name, however
+    proc = python_with_src("-X", "importtime", "-v", "-m", "cubezeta.cli",
+                           *_HANDLER_USAGE_ERRORS[command])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert [line for line in lines if line.startswith("error: ")], proc.stderr
+    assert "Traceback" not in proc.stderr
+    timed = [line.rpartition("|")[2].strip() for line in lines if line.startswith("import time:")]
+    imported = [line.split("'")[1] for line in lines if line.startswith("import '")]
+    assert "cubezeta.cli" not in timed and "cubezeta.cli" not in imported
+    assert "cubezeta.commands" in timed
+    assert [m for m in imported if m.startswith("cubezeta.commands.")] == [
+        f"cubezeta.commands.{command}"]
+
+
+def test_the_parser_holds_the_named_subparser_or_all_eight():
+    def built(argv):
+        (sub,) = [a for a in cubezeta.cli._build_parser(argv)._actions if a.dest == "subcommand"]
+        return list(sub.choices)
+
+    assert built(["count", "A", "--d", "5"]) == ["count"]
+    assert built(["verify", "--help"]) == ["verify"]
+    every = list(cubezeta.cli._COMMANDS)
+    assert len(every) == 8
+    for argv in ([], ["-h"], ["--help"], ["nope"], ["--threads", "2", "count"]):
+        assert built(argv) == every, argv
+
+
+def test_every_identity_has_a_check():
+    assert tuple(cubezeta.commands.verify._CHECKS) == IDENTITIES
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_running_out_of_memory_exits_2_with_one_error_line(threads):
+    resource = pytest.importorskip("resource")
+
+    def limit():  # in the child only: 1.5 GB of address space
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+    # M = 10^9 asks for an 8 GB list, which the limit refuses before any of it is touched
+    argv = ["verify", "prop21", "--Dmax", "3", "--M", str(10**9), "--threads", threads]
+    proc = subprocess.run([sys.executable, "-m", "cubezeta.cli", *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_module_run_of_the_cli_leaves_stderr_clean_under_warnings_as_errors():

@@ -3,7 +3,9 @@
 ``golden/commands.json`` lists each command's argv and exit code; its stdout
 is ``golden/<name>.out``.  The files were recorded from the CLI before the
 verify pipeline was consolidated, so any change in the JSON reports or the
-exit codes shows here.
+exit codes shows here.  ``golden/usage.json`` holds the stdout, stderr and
+exit code of every ``--help`` and of argparse's usage errors, recorded while
+every process still built all eight subparsers, at 80 columns.
 """
 
 from __future__ import annotations
@@ -17,21 +19,44 @@ from pathlib import Path
 import pytest
 
 import cubezeta
+import cubezeta.cli as cli_module
 from cubezeta.cli import IDENTITIES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
 
 
+USAGE = json.loads((GOLDEN / "usage.json").read_text())
+
+
+def cli(argv: list, **env) -> subprocess.CompletedProcess:
+    """``python -m cubezeta.cli argv`` with this checkout's src on PYTHONPATH."""
+    src = str(Path(cubezeta.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "cubezeta.cli", *argv],
+                          env=env, capture_output=True, timeout=120)
+
+
 @pytest.mark.parametrize("command", COMMANDS, ids=[c["name"] for c in COMMANDS])
 def test_cli_output_matches_golden_bytes(command):
-    src = str(Path(cubezeta.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-m", "cubezeta.cli", *command["argv"]],
-                          env=env, capture_output=True, timeout=120)
+    proc = cli(command["argv"])
     assert proc.returncode == command["exit"], proc.stderr
     assert proc.stdout == (GOLDEN / f"{command['name']}.out").read_bytes()
+
+
+@pytest.mark.parametrize("case", USAGE, ids=[c["name"] for c in USAGE])
+def test_help_and_usage_errors_match_golden_bytes(case):
+    proc = cli(case["argv"], COLUMNS="80")
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+        case["exit"], case["stdout"], case["stderr"])
+
+
+def test_usage_goldens_cover_every_command_and_the_top_level():
+    commands = {c["argv"][0] for c in USAGE if c["argv"][1:] == ["--help"]}
+    assert commands == set(cli_module._COMMANDS)
+    assert {"help", "no_arguments", "unknown_command", "unknown_flag",
+            "count_without_what"} <= {c["name"] for c in USAGE}
 
 
 def test_every_identity_has_a_golden_command():
