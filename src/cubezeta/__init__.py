@@ -6,7 +6,8 @@ parameterization and the B formula (``orbits``), multiple Dirichlet series
 coefficients (``wmds``), trivariate prime-part generating functions
 (``ppart``), Dirichlet-series identity checks (``identities``), quadratic
 ring ideal classes and moduli fibers (``quadring``), the report type that
-every check returns (``report``), and the command line interface (``cli``).
+every check returns (``report``), and the command line interface (``cli``,
+with one handler module per command in ``commands``).
 
 What is loaded when: ``import cubezeta`` registers the seven library
 modules in ``sys.modules`` through ``importlib.util.LazyLoader`` and runs
@@ -15,9 +16,10 @@ attributes, and its own ``from .x import name`` lines then load what it
 reads.  A submodule read from the package (``cubezeta.cube`` or ``from
 cubezeta import cube``) comes back with its code run, and a re-exported
 name (``cubezeta.B``) is read from the module that defines it, which runs
-that module.  ``cli`` and ``report`` are not registered: each is imported
-as any module is, ``cli`` loads per command what it reads, and
-``IdentityReport`` is re-exported from ``identities``.
+that module.  ``cli``, ``commands`` and ``report`` are not registered:
+each is imported as any module is, ``cli`` imports the handler of the
+command it runs, which loads what it reads, and ``IdentityReport`` is
+re-exported from ``identities``.
 """
 
 import importlib.util

@@ -30,18 +30,22 @@ command runs, so a path that cannot be opened fails at once, and a command
 that fails after that leaves the file empty or partly written.
 
 Start-up compiles and builds only the command it runs.  This module holds
-the parser, the dispatch, ``run`` and ``main``.  ``_build_parser`` adds only
-the subparser that ``argv[0]`` names, and all eight when it names none (no
-arguments, ``-h``/``--help``, an unknown command), so that help and error
-text stay the same.  ``run`` imports the command's handler module,
-``cubezeta.commands.<name>``, when the command runs, and each handler imports
-the library modules it reads (``count A`` ``congruence`` only, ``table B``
-``orbits`` too, and only ``pairs --cubes`` and ``orbits --oracle`` ``cube``);
-``verify`` looks its verifier up by name.  This module imports only
-``congruence``, which every command reads, and the handlers' shared plumbing
-in ``cubezeta.commands``.  The other library modules stay registered but
-unrun (see the package docstring).  ``table`` runs the module of its row
-worker before a pool forks, so that the workers inherit it.
+the parser, the dispatch, ``run`` and ``main``.  ``_parse_plain`` reads a
+plain command line (a command, its flags each once as ``--flag value``)
+from the same table of arguments without importing argparse, and gives the
+namespace that argparse would.  Anything else goes to argparse:
+``_build_parser`` adds only the subparser that ``argv[0]`` names, and all
+eight when it names none (no arguments, ``-h``/``--help``, an unknown
+command), so that help and error text stay the same.  ``run`` imports the
+command's handler module, ``cubezeta.commands.<name>``, when the command
+runs, and each handler imports the library modules it reads (``count A``
+``congruence`` only, ``table B`` ``orbits`` too, and only ``pairs --cubes``
+and ``orbits --oracle`` ``cube``); ``verify`` looks its verifier up by name.
+This module imports only ``congruence``, which every command reads, and the
+handlers' shared plumbing in ``cubezeta.commands``.  The other library
+modules stay registered but unrun (see the package docstring).  ``table``
+runs the module of its row worker before a pool forks, so that the workers
+inherit it.
 
 The env var CUBEZETA_THREADS (or --threads) sets the worker-process count
 for range subcommands.  A ``table`` too small to repay starting a process
@@ -53,10 +57,10 @@ time), so output is byte-identical for every parallelism degree.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import os
 import sys
+from types import SimpleNamespace
 
 from .commands import UsageError
 from .congruence import DomainError, RangeError
@@ -68,8 +72,15 @@ _INT = {"type": int}
 _REQUIRED = {"type": int, "required": True}
 _CELL = {"type": int, "help": "single-cell mode (thm13)"}
 
-# command: (its help, its arguments after --threads and --output, as
-# (name, add_argument keywords)); the handler is ``commands.<command>.run``
+# the flags of every command, as (name, add_argument keywords), first after -h
+_COMMON = [
+    ("--threads", {"type": int,
+                   "help": "worker processes (default: CUBEZETA_THREADS or CPU count)"}),
+    ("--output", {"help": "write to this file instead of stdout"}),
+]
+
+# command: (its help, its arguments after the common flags; a positional
+# one comes first); the handler is ``commands.<command>.run``
 _COMMANDS = {
     "count": ("one exact value", [
         ("what", {"choices": ["A", "B", "a3"]}),
@@ -111,7 +122,7 @@ _COMMANDS = {
 }
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     """Execute one parsed invocation; returns the process exit code.
 
     Imports the handler module of the command here, so that a process
@@ -126,8 +137,56 @@ def run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser(argv: list) -> argparse.ArgumentParser:
-    """The parser of ``argv``: the subparser that argv[0] names, or all eight."""
+def _parse_plain(argv: list) -> SimpleNamespace | None:
+    """The namespace that argparse gives a plain command line; None for any other.
+
+    Plain: a command; its positional choice next, if it takes one; then each
+    of its flags at most once, exactly as spelled, a store_true flag alone and
+    any other with one value, which its type reads; every required flag.  A
+    value is a token that does not start with "-", or a negative integer.
+    Help, usage errors, abbreviated flags, "--flag=value" and the like are
+    left to argparse, whose text and reading stay the only ones.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    args = {"subcommand": argv[0]}
+    flags = {}
+    rest = iter(argv[1:])
+    for name, keywords in [*_COMMON, *_COMMANDS[argv[0]][1]]:
+        if not name.startswith("-"):
+            args[name] = next(rest, None)
+            if args[name] not in keywords["choices"]:
+                return None
+        else:
+            flags[name] = keywords
+            default = False if keywords.get("action") == "store_true" else None
+            args[name.lstrip("-").replace("-", "_")] = keywords.get("default", default)
+    given = set()
+    for flag in rest:
+        keywords = flags.get(flag)
+        if keywords is None or flag in given:
+            return None
+        given.add(flag)
+        dest = flag.lstrip("-").replace("-", "_")
+        if keywords.get("action") == "store_true":
+            args[dest] = True
+            continue
+        value = next(rest, None)
+        if value is None or value.startswith("-") and not value[1:].isdecimal():
+            return None
+        try:
+            args[dest] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+    if any(keywords.get("required") and flag not in given for flag, keywords in flags.items()):
+        return None
+    return SimpleNamespace(**args)
+
+
+def _build_parser(argv: list):
+    """The argparse parser of ``argv``: the subparser that argv[0] names, or all eight."""
+    import argparse
+
     names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
     parser = argparse.ArgumentParser(
         prog="cubezeta",
@@ -143,10 +202,7 @@ def _build_parser(argv: list) -> argparse.ArgumentParser:
     for name in names:
         help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--threads", type=int,
-                       help="worker processes (default: CUBEZETA_THREADS or CPU count)")
-        p.add_argument("--output", help="write to this file instead of stdout")
-        for flag, keywords in arguments:
+        for flag, keywords in [*_COMMON, *arguments]:
             p.add_argument(flag, **keywords)
     return parser
 
@@ -166,7 +222,9 @@ def _resolve_threads(flag: int | None) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _parse_plain(argv)
+        if args is None:  # help, a usage error or a rarer form: argparse reads it
+            args = _build_parser(argv).parse_args(argv)
         args.threads = _resolve_threads(args.threads)
         if args.output is None:
             return run(args)

@@ -1,17 +1,16 @@
 """The command handlers of ``cubezeta``, one module per command, and their plumbing.
 
 ``cli.run`` imports ``cubezeta.commands.<name>`` when command <name> runs and
-calls its ``run(args)`` with the parsed argparse namespace, so a process
-compiles only the handler that it runs.  This package module holds what the
-handlers share; ``cli`` imports it for ``UsageError``.  No handler imports
-``cli``: under ``python -m cubezeta.cli`` that module runs as ``__main__``,
-and importing it by name would compile it a second time, with a second
-``UsageError`` that ``main`` does not catch.
+calls its ``run(args)`` with the parsed command line, each flag an attribute
+of ``args``, so a process compiles only the handler that it runs.  This
+package module holds what the handlers share; ``cli`` imports it for
+``UsageError``.  No handler imports ``cli``: under ``python -m cubezeta.cli``
+that module runs as ``__main__``, and importing it by name would compile it
+a second time, with a second ``UsageError`` that ``main`` does not catch.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 
@@ -62,7 +61,7 @@ def _emit(lines: list, output) -> None:
     _write(["".join(line + "\n" for line in lines)], output)
 
 
-def _require(args: argparse.Namespace, *names: str) -> list:
+def _require(args, *names: str) -> list:
     """The flags of ``count`` that its value needs, which argparse cannot require."""
     values = [getattr(args, name) for name in names]
     missing = [name for name, value in zip(names, values) if value is None]
@@ -71,7 +70,7 @@ def _require(args: argparse.Namespace, *names: str) -> list:
     return values
 
 
-def _box(args: argparse.Namespace) -> list:
+def _box(args) -> list:
     """--Dmax and --Mmax of a range command; a negative one is a usage error."""
     if args.Dmax < 0 or args.Mmax < 0:
         raise UsageError("--Dmax and --Mmax must be nonnegative")

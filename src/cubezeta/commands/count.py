@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import argparse
-
 from . import _emit, _require
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     if args.what == "A":
         from ..congruence import sqrt_count
 

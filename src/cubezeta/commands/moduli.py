@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import argparse
 import json
 
 from . import _emit
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     from ..quadring import ideal_class_pairs, pair_fiber
 
     lines = [

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import argparse
-
 from . import _emit
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     from ..orbits import B
 
     formula = B(args.D, args.m, args.n)

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import argparse
-
 from . import _emit
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     from ..orbits import congruence_pairs, cube_from_pair
 
     lines = []

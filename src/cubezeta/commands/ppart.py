@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import argparse
 import itertools
 
 from . import UsageError, _emit
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     from ..ppart import f_a3_expand, p_eval, p_format
 
     kmax, p = args.kmax, args.p

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import itertools
 
@@ -56,7 +55,7 @@ def _row_chunk_a3(D: int, Mmax: int) -> str:
     )
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     Dmax, Mmax = _box(args)
     worker, module = (_row_chunk_B, "orbits") if args.what == "B" else (_row_chunk_a3, "wmds")
     header = "D,m,n,B" if args.what == "B" else "D,m,n,a,chi_m,chi_n"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import json
 
@@ -70,7 +69,7 @@ def _aggregate_reports(identity: str, params: dict, reports: list) -> dict:
     }
 
 
-def _verify_report(args: argparse.Namespace) -> dict:
+def _verify_report(args) -> dict:
     identity = args.identity
     defaults, verifier, instances, size = _CHECKS[identity]
     given = {
@@ -111,7 +110,7 @@ def _verify_report(args: argparse.Namespace) -> dict:
     return _aggregate_reports(identity, params, reports)
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     report = _verify_report(args)
     _emit([json.dumps(report, indent=2, sort_keys=True)], args.output)
     return 1 if report["status"] == "fail" else 0

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from . import _box, _emit
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     from ..identities import partial_sum
 
     result = partial_sum(args.s1, args.s2, args.w, *_box(args))

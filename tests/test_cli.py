@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubezeta
 import cubezeta.commands.verify
@@ -517,7 +521,8 @@ _HANDLER_USAGE_ERRORS = {
 @pytest.mark.parametrize("command", list(cubezeta.cli._COMMANDS))
 def test_each_command_under_dash_m_loads_cli_once_and_only_its_handler(command):
     # -X importtime logs each module that an import statement loads, and -v
-    # writes "import 'name'" for each module imported by name, however
+    # writes "import 'name'" for each module imported by name, however;
+    # cubezeta.cli runs as __main__, so a line for it is a second load
     proc = python_with_src("-X", "importtime", "-v", "-m", "cubezeta.cli",
                            *_HANDLER_USAGE_ERRORS[command])
     assert (proc.returncode, proc.stdout) == (2, "")
@@ -528,6 +533,7 @@ def test_each_command_under_dash_m_loads_cli_once_and_only_its_handler(command):
     imported = [line.split("'")[1] for line in lines if line.startswith("import '")]
     assert "cubezeta.cli" not in timed and "cubezeta.cli" not in imported
     assert "cubezeta.commands" in timed
+    assert "argparse" not in timed  # a plain command line is read without it
     assert [m for m in imported if m.startswith("cubezeta.commands.")] == [
         f"cubezeta.commands.{command}"]
 
@@ -543,6 +549,58 @@ def test_the_parser_holds_the_named_subparser_or_all_eight():
     assert len(every) == 8
     for argv in ([], ["-h"], ["--help"], ["nope"], ["--threads", "2", "count"]):
         assert built(argv) == every, argv
+
+
+def _argparse_reading(argv: list):
+    """vars() of argparse's namespace for argv; None when it prints help or an error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cubezeta.cli._build_parser(argv).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+_PLAIN = [
+    ["count", "A", "--d", "-999999", "--a", "70368744177664", "--threads", "2"],
+    ["count", "B", "--D", "-4", "--m", "300", "--n", "7", "--threads", "2"],
+    ["count", "a3", "--threads", "1", "--n", "7", "--D", "5", "--m", "3"],
+    ["count", "B", "--D", "5", "--m", "2"],
+    ["orbits", "--D", "-15", "--m", "2", "--n", "1", "--oracle", "--slack", "0"],
+    ["orbits", "--D", "9", "--m", "1", "--n", "1", "--entry-bound", "1"],
+    ["pairs", "--D", "1", "--m", "105", "--n", "999999", "--cubes", "--output", "x.txt"],
+    ["ppart", "--kmax", "8", "--p", "11", "--threads", "2"],
+    ["ppart", "--kmax", "-1"],
+    ["verify", "thm13", "--D", "-407", "--a1", "722360", "--a2", "1", "--threads", "2"],
+    ["verify", "prop21", "--Dmax", "0"],
+    ["verify", "thm44"],
+    ["table", "B", "--Dmax", "30", "--Mmax", "6", "--threads", "2"],
+    ["zeta", "--s1", "1.5", "--s2", "2", "--w", "1.5", "--Dmax", "20", "--Mmax", "20"],
+    ["moduli", "--D", "-468", "--a1", "747966", "--a2", "13"],
+]
+
+
+@pytest.mark.parametrize("argv", _PLAIN, ids=[" ".join(a[:2]) for a in _PLAIN])
+def test_a_plain_command_line_is_read_as_argparse_reads_it(argv):
+    plain = cubezeta.cli._parse_plain(argv)
+    assert plain is not None and vars(plain) == _argparse_reading(argv)
+
+
+_FLAGS = sorted({flag for _, arguments in cubezeta.cli._COMMANDS.values()
+                 for flag, _ in [*cubezeta.cli._COMMON, *arguments] if flag.startswith("-")})
+_ODD_FLAGS = ["--ora", "--Mm", "--entry", "--thr", "-h", "--help", "--D=5"]
+_VALUES = ["5", "0", "-4", "-0.5", "-1e3", "1.5", "x", "", " 7", "-5\n", "\u0663", "-\u0663",
+           "--", "-", "-h"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([*cubezeta.cli._COMMANDS, "nope", "-h"]),
+       st.lists(st.sampled_from(["A", "B", "a3", "C", "prop21", "thm13", "5"]), max_size=1),
+       st.lists(st.tuples(st.sampled_from(_FLAGS + _ODD_FLAGS),
+                          st.lists(st.sampled_from(_VALUES), max_size=2)), max_size=6))
+def test_any_command_line_read_directly_is_read_as_argparse_reads_it(command, first, flags):
+    argv = [command, *first, *(token for flag, values in flags for token in (flag, *values))]
+    plain = cubezeta.cli._parse_plain(argv)
+    assert plain is None or vars(plain) == _argparse_reading(argv), argv
 
 
 def test_every_identity_has_a_check():
