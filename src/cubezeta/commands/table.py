@@ -15,12 +15,13 @@ def _workers(threads: int, rows: int) -> int:
     """Worker processes for a table of ``rows``: threads, or 1 below the crossover.
 
     Measured for two workers on a 2-core host under Python 3.11, as
-    whole-process wall time, median of 7 to 9 runs, one process (which never
-    imports the pool) against a pool of two: table B 270 k rows 0.19 s vs
-    0.23 s, 450 k 0.28 vs 0.29, 960 k 0.43 vs 0.35; table a3, about three
-    times the cost per row, 135 k rows 0.32 vs 0.32, 270 k 0.46 vs 0.43.
-    300 k lies between the two break-even points.  Other worker counts and
-    hosts were not measured.
+    whole-process wall time, median of 15 alternating runs, one process
+    (which never imports the pool) against a pool of two: table B 270 k rows
+    0.13 s vs 0.17 s, 450 k 0.23 vs 0.22, 960 k 0.32 vs 0.29, 1.6 M 0.47 vs
+    0.40; table a3, about three times the cost per row, 134 k rows 0.22 vs
+    0.21, 270 k 0.44 vs 0.33.  300 k lies between the two break-even points.
+    The host is noisy: at 960 k, sets of 9 runs gave 0.23 vs 0.23 s and
+    0.25 vs 0.26 s.  Other worker counts and hosts were not measured.
     """
     return threads if rows >= _TABLE_CROSSOVER else 1
 
