@@ -24,8 +24,6 @@ from cubezeta.cli import IDENTITIES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
-
-
 USAGE = json.loads((GOLDEN / "usage.json").read_text())
 
 
