@@ -33,10 +33,10 @@ Start-up compiles and builds only the command it runs.  This module holds
 the parser, the dispatch, ``run`` and ``main``.  ``_parse_plain`` reads a
 plain command line (a command, its flags each once as ``--flag value``)
 from the same table of arguments without importing argparse, and gives the
-namespace that argparse would.  Anything else goes to argparse:
-``_build_parser`` adds only the subparser that ``argv[0]`` names, and all
-eight when it names none (no arguments, ``-h``/``--help``, an unknown
-command), so that help and error text stay the same.  ``run`` imports the
+namespace that argparse would.  Anything else (help, a usage error, a
+rarer form) goes to the argparse parser that ``_build_parser`` builds with
+all eight subparsers, whose help and error text stay the only ones.  ``run``
+imports the
 command's handler module, ``cubezeta.commands.<name>``, when the command
 runs, and each handler imports the library modules it reads (``count A``
 ``congruence`` only, ``table B`` ``orbits`` too, and only ``pairs --cubes``
@@ -62,11 +62,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .commands import UsageError
+from .commands import IDENTITIES, UsageError
 from .congruence import DomainError, RangeError
-
-# the choices of the verify subparser; ``commands.verify._CHECKS`` has a row for each
-IDENTITIES = ("prop21", "cor24", "prop25", "thm12", "thm44", "thm13", "siegel")
 
 _INT = {"type": int}
 _REQUIRED = {"type": int, "required": True}
@@ -183,24 +180,17 @@ def _parse_plain(argv: list) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
-def _build_parser(argv: list):
-    """The argparse parser of ``argv``: the subparser that argv[0] names, or all eight."""
+def _build_parser():
+    """The argparse parser, all eight subparsers: help, usage errors, rarer forms."""
     import argparse
 
-    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
     parser = argparse.ArgumentParser(
         prog="cubezeta",
         description="Exact orbit counts, coefficient identities, and tables "
         "for integer cubes and their discriminant data.",
     )
-    # an error that the top parser reports after one subparser ran (an
-    # unrecognized argument) prints the usage line of all eight
-    sub = parser.add_subparsers(
-        dest="subcommand", required=True,
-        metavar=None if len(names) > 1 else "{" + ",".join(_COMMANDS) + "}",
-    )
-    for name in names:
-        help_text, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, keywords in [*_COMMON, *arguments]:
             p.add_argument(flag, **keywords)
@@ -224,7 +214,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_plain(argv)
         if args is None:  # help, a usage error or a rarer form: argparse reads it
-            args = _build_parser(argv).parse_args(argv)
+            args = _build_parser().parse_args(argv)
         args.threads = _resolve_threads(args.threads)
         if args.output is None:
             return run(args)

@@ -4,7 +4,7 @@
 calls its ``run(args)`` with the parsed command line, each flag an attribute
 of ``args``, so a process compiles only the handler that it runs.  This
 package module holds what the handlers share; ``cli`` imports it for
-``UsageError``.  No handler imports ``cli``: under ``python -m cubezeta.cli``
+``UsageError`` and ``IDENTITIES``.  No handler imports ``cli``: under ``python -m cubezeta.cli``
 that module runs as ``__main__``, and importing it by name would compile it
 a second time, with a second ``UsageError`` that ``main`` does not catch.
 """
@@ -12,6 +12,11 @@ a second time, with a second ``UsageError`` that ``main`` does not catch.
 from __future__ import annotations
 
 import sys
+
+
+# the identities of ``verify``: the choices of its subparser, in the order of
+# the rows of ``commands.verify._CHECKS``
+IDENTITIES = ("prop21", "cor24", "prop25", "thm12", "thm44", "thm13", "siegel")
 
 
 class UsageError(Exception):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib
 import json
 
-from . import UsageError, _discriminants, _emit, _map_ordered
+from . import IDENTITIES, UsageError, _discriminants, _emit, _map_ordered
 
 SCHEMA = 1
 
@@ -35,17 +35,17 @@ def _siegel_cells(Dmax: int) -> list:
 # "module.function", its instances for --Dmax, the flag passed as its size);
 # an instance is the verifier's first argument, or a tuple of its first ones.
 # The verifier is looked up when the check runs, so only its module loads.
-# thm44 runs its two checks itself (see ``_verify_report``).  The keys are
-# ``cli.IDENTITIES``, the choices of the verify subparser, in their order.
-_CHECKS = {
-    "prop21": ({"Dmax": 200, "M": 200}, "identities.verify_prop21", _discriminants, "M"),
-    "cor24": ({"Dmax": 200, "M": 200}, "identities.verify_cor24", _discriminants, "M"),
-    "prop25": ({"Dmax": 297, "M": 100}, "identities.verify_prop25", _odd_integers, "M"),
-    "thm12": ({"Dmax": 297, "M": 64}, "identities.verify_thm12", _odd_integers, "M"),
-    "thm44": ({"kmax": 8}, None, None, None),
-    "thm13": ({"Dmax": 500, "amax": 30}, "quadring.verify_thm13_scan", _discriminants, "amax"),
-    "siegel": ({"Dmax": 200, "T": 12}, "identities.verify_siegel", _siegel_cells, "T"),
-}
+# thm44 runs its two checks itself (see ``_verify_report``).  The rows are
+# in the order of ``IDENTITIES``.
+_CHECKS = dict(zip(IDENTITIES, [
+    ({"Dmax": 200, "M": 200}, "identities.verify_prop21", _discriminants, "M"),
+    ({"Dmax": 200, "M": 200}, "identities.verify_cor24", _discriminants, "M"),
+    ({"Dmax": 297, "M": 100}, "identities.verify_prop25", _odd_integers, "M"),
+    ({"Dmax": 297, "M": 64}, "identities.verify_thm12", _odd_integers, "M"),
+    ({"kmax": 8}, None, None, None),
+    ({"Dmax": 500, "amax": 30}, "quadring.verify_thm13_scan", _discriminants, "amax"),
+    ({"Dmax": 200, "T": 12}, "identities.verify_siegel", _siegel_cells, "T"),
+], strict=True))
 
 
 def _aggregate_reports(identity: str, params: dict, reports: list) -> dict:

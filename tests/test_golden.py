@@ -4,8 +4,8 @@
 is ``golden/<name>.out``.  The files were recorded from the CLI before the
 verify pipeline was consolidated, so any change in the JSON reports or the
 exit codes shows here.  ``golden/usage.json`` holds the stdout, stderr and
-exit code of every ``--help`` and of argparse's usage errors, recorded while
-every process still built all eight subparsers, at 80 columns.
+exit code of every ``--help`` and of argparse's usage errors, recorded from
+the CLI before it read a plain command line without argparse, at 80 columns.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 
 import cubezeta
 import cubezeta.cli as cli_module
-from cubezeta.cli import IDENTITIES
+from cubezeta.commands import IDENTITIES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
