@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import json
 
-from . import _emit
+from . import _write
 
 
 def run(args) -> int:
-    from ..quadring import ideal_class_pairs, pair_fiber
+    from ..quadring import iter_ideal_class_pairs, pair_fiber
 
-    lines = [
-        json.dumps({"D": args.D, "a1": pair.first.a, "b1": pair.first.b,
-                    "a2": pair.second.a, "b2": pair.second.b, "fiber": pair_fiber(pair)})
-        for pair in ideal_class_pairs(args.D, args.a1, args.a2)
-    ]
-    _emit(lines, args.output)
+    def line(pair) -> str:
+        return json.dumps({"D": args.D, "a1": pair.first.a, "b1": pair.first.b,
+                           "a2": pair.second.a, "b2": pair.second.b,
+                           "fiber": pair_fiber(pair)}) + "\n"
+
+    # each row is written as it is formed: the pairs can outnumber memory
+    _write(map(line, iter_ideal_class_pairs(args.D, args.a1, args.a2)), args.output)
     return 0

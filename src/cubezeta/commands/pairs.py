@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
-from . import _emit
+from . import _write
 
 
 def run(args) -> int:
-    from ..orbits import congruence_pairs, cube_from_pair
+    from ..orbits import cube_from_pair, iter_congruence_pairs
 
-    lines = []
-    for pair in congruence_pairs(args.D, args.m, args.n):
+    def line(pair) -> str:
         row = f"{pair.x} {pair.y} {pair.s} {pair.t}"
         if args.cubes:
             row += " | " + " ".join(str(v) for v in cube_from_pair(pair).entries())
-        lines.append(row)
-    _emit(lines, args.output)
+        return row + "\n"
+
+    # each row is written as it is formed: the pairs can outnumber memory
+    _write(map(line, iter_congruence_pairs(args.D, args.m, args.n)), args.output)
     return 0

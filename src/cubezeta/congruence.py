@@ -19,8 +19,13 @@ levels d of D1 with a local factor L, sqrt_count(D', 4k) for B, a(D', k) for a3:
 
     S_L(D, m, n) = sum_{d | gcd(D1, m, n)} d * L(D/d^2, m/d) * L(D/d^2, n/d).
 
-``level_sum`` sums one cell; ``level_grid`` a box m, n <= M from one vector
-L_d[m] = L(D/d^2, m/d) (0 unless d | m) per level d <= M, no gcd per cell.
+``level_sum`` sums one cell.  A box m, n <= M is read from one vector
+L_d[m] = L(D/d^2, m/d) (0 unless d | m) per level d <= M: row m is
+sum_d d * L_d[m] * L_d, so rows with equal level values (L_d[m])_d are equal.
+``level_rows`` sums each such row class once, and ``level_grid`` lays the
+classes out as a grid.  Each L is multiplicative in k, so its vector comes
+from its values at prime powers by ``multiplicative_series``;
+``sqrt_count_series`` is that vector for A(d, c k).
 """
 
 from __future__ import annotations
@@ -216,25 +221,70 @@ def level_sum(D: int, m: int, n: int, local) -> int:
     return total
 
 
-def level_grid(D: int, M: int, local) -> list[list[int]]:
-    """S_L(D, m, n) for 1 <= m, n <= M; index [m][n], row and column 0 zero."""
+def level_rows(D: int, M: int, series) -> tuple[list[tuple], dict[tuple, list[int]]]:
+    """The row classes of S_L(D, m, n) for 0 <= m, n <= M; L's vectors from series.
+
+    series(D', K) is [0, L(D', 1), ..., L(D', K)].  Returns keys, with keys[m]
+    the level values (L_d[m])_d of row m, and rows, mapping each key to the
+    row [S_L(D, m, n) for 0 <= n <= M] of every m with that key, summed once.
+    """
     _, d1 = squarefree_split(D)
     levels = []
     for d in divisors(d1):
         if d > M:
             break
-        dd, L = D // (d * d), [0] * (M + 1)
-        L[d::d] = [local(dd, k) for k in range(1, M // d + 1)]
+        L = [0] * (M + 1)
+        L[d::d] = series(D // (d * d), M // d)[1:]
         levels.append((d, L))
-    grid = []
-    for m in range(M + 1):
-        row = [0] * (M + 1)
-        for d, L in levels:
-            if L[m]:
-                scale = d * L[m]
-                row = [r + scale * x for r, x in zip(row, L)]
-        grid.append(row)
-    return grid
+    keys = list(zip(*(L for _, L in levels))) or [()] * (M + 1)  # no level when M < 1
+    rows = {}
+    for key in keys:
+        if key not in rows:
+            row = [0] * (M + 1)
+            for (d, L), v in zip(levels, key):
+                if v:
+                    scale = d * v
+                    row = [r + scale * x for r, x in zip(row, L)]
+            rows[key] = row
+    return keys, rows
+
+
+def level_grid(D: int, M: int, series) -> list[list[int]]:
+    """S_L(D, m, n) for 1 <= m, n <= M; index [m][n], row and column 0 zero.
+
+    Each row is a list of its own, so an edit to one cell changes no other.
+    """
+    keys, rows = level_rows(D, M, series)
+    return [rows[key][:] for key in keys]
+
+
+@lru_cache(maxsize=None)
+def _least_prime_powers(M: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, e, n / p^e) for 2 <= n <= M, where p is the least prime of n and p^e || n."""
+    least = list(range(M + 1))
+    for p in range(2, M + 1):
+        if least[p] == p:
+            for n in range(p * p, M + 1, p):
+                least[n] = min(least[n], p)
+    out = []
+    for n in range(2, M + 1):
+        p, r, e = least[n], n // least[n], 1
+        while r % p == 0:
+            r, e = r // p, e + 1
+        out.append((p, e, r))
+    return tuple(out)
+
+
+def multiplicative_series(M: int, local) -> list[int]:
+    """[0, f(1), ..., f(M)] for the multiplicative f with f(p^e) = local(p, e).
+
+    local is called once per prime power p^e <= M; every other n is
+    f(p^e) f(n / p^e) for the least prime p of n, read from smaller entries.
+    """
+    out = [0] + [1] * M
+    for n, (p, e, r) in enumerate(_least_prime_powers(M), 2):
+        out[n] = local(p, e) if r == 1 else out[n // r] * out[r]
+    return out
 
 
 def _legendre(u: int, p: int) -> int:
@@ -284,6 +334,27 @@ def sqrt_count(d: int, a: int) -> int:
         out *= _sqrt_count_prime_power(d % p**e, p, e)
         if out == 0:
             return 0
+    return out
+
+
+def sqrt_count_series(d: int, M: int, c: int = 1) -> list[int]:
+    """[0, A(d, c), A(d, 2c), ..., A(d, M c)] for c = 1 or 4, from prime-power values.
+
+    A(d, .) = sqrt_count(d, .) is multiplicative, so A(d, c 2^k o) =
+    A(d, c 2^k) A(d, o) for odd o: the 2-adic local value is A(d, c 2^k),
+    and odd a are scaled by A(d, c).
+    """
+    shift = c.bit_length() - 1  # c = 2^shift
+
+    def local(p: int, e: int) -> int:
+        if p == 2:
+            e += shift
+        return _sqrt_count_prime_power(d % p**e, p, e)
+
+    out = multiplicative_series(M, local)
+    if c > 1:
+        unit = sqrt_count(d, c)
+        out[1::2] = [unit * v for v in out[1::2]]
     return out
 
 

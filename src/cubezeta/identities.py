@@ -36,9 +36,10 @@ p-factor, the 2-adic tail, the local data (alpha, chi) they read, and the
 placing of a q-polynomial on the powers of p.
 
 The multiplicative series are built in one pass from their values at prime
-powers by ``wmds.multiplicative_series``: the left sides A(d, a) and
-A(d, 4a), read from ``sqrt_count`` at prime powers only, the L-series of
-chi_d, and the twisted series of ``wmds.twisted_series``.  Every right side
+powers by ``congruence.multiplicative_series``: the left sides A(d, a) and
+A(d, 4a) of ``congruence.sqrt_count_series``, read from ``sqrt_count`` at
+prime powers only, the L-series of chi_d, and the twisted series of
+``wmds.twisted_series``.  Every right side
 is still a coefficientwise convolution, never an Euler product.  The
 report type, ``IdentityReport``, is defined in ``report`` and re-exported
 here.
@@ -59,12 +60,14 @@ from .congruence import (
     fundamental_discriminant,
     kronecker,
     mobius,
+    multiplicative_series,
     sqrt_count,
+    sqrt_count_series,
     valuation,
 )
 from .orbits import b_grid
 from .report import IdentityReport  # re-exported: every check here returns it
-from .wmds import a3_grid, multiplicative_series, twisted_series
+from .wmds import a3_grid, twisted_series
 
 Coeffs = list  # c[0] unused; c[1..M] are the coefficients
 
@@ -166,19 +169,6 @@ def _series_l_chi(d: int, M: int) -> Coeffs:
     coeffs_zero(M)  # raises RangeError when M < 1
     dstar = fundamental_discriminant(d)
     return multiplicative_series(M, lambda p, e: kronecker(dstar, p) ** e)
-
-
-def _series_root_count(d: int, M: int, c: int) -> Coeffs:
-    """A(d, c a) for a <= M, c = 1 or 4, from the prime-power values of sqrt_count.
-
-    A(d, .) is multiplicative, so A(d, c 2^k o) = A(d, c 2^k) A(d, o) for odd
-    o: the 2-adic local value is A(d, c 2^k), and odd a are scaled by A(d, c).
-    """
-    out = multiplicative_series(M, lambda p, e: sqrt_count(d, p**e * (c if p == 2 else 1)))
-    if c > 1:
-        unit = sqrt_count(d, c)
-        out[1::2] = [unit * v for v in out[1::2]]
-    return out
 
 
 def _series_two_factor(M: int) -> Coeffs:
@@ -390,7 +380,7 @@ def verify_prop21(d: int, M: int) -> IdentityReport:
     """
     if not (d != 0 and d % 4 in (0, 1)):
         raise DomainError("d must be a discriminant (nonzero, 0 or 1 mod 4)")
-    lhs = _series_root_count(d, M, 1)
+    lhs = sqrt_count_series(d, M, 1)
     base = convolve_many(
         _series_zeta2s_inverse(M), _series_zeta(M), _series_l_chi(d, M)
     )
@@ -431,7 +421,7 @@ def verify_cor24(d: int, M: int) -> IdentityReport:
     """
     if not (d != 0 and d % 4 in (0, 1)):
         raise DomainError("d must be a discriminant (nonzero, 0 or 1 mod 4)")
-    lhs = _series_root_count(d, M, 4)
+    lhs = sqrt_count_series(d, M, 4)
     rhs = convolve_many(
         _series_zeta2s_inverse(M),
         _series_zeta(M),
@@ -466,7 +456,7 @@ def verify_prop25(D: int, M: int) -> IdentityReport:
     """
     if D == 0 or D % 2 == 0:
         raise DomainError("D must be odd and nonzero")
-    lhs = _series_root_count(D, M, 4)
+    lhs = sqrt_count_series(D, M, 4)
     twisted = twisted_series(D, M) if D % 4 == 1 else coeffs_zero(M)
     printed = convolve(convolve(_series_p_tilde2(D, M), _series_zeta(M)), twisted)
     return _printed_then_corrected(

@@ -7,16 +7,26 @@ x^2 = D (mod 4m), y^2 = D (mod 4n) taken in the windows [0, 2|m|) and
 The total count B(D, m, n) is the divisor-level sum of ``congruence`` with
 local factor A(D', 4k) = sqrt_count(D', 4k); its level d = 1 term is four
 times the number of congruence pairs.  B vanishes unless D = 0,1 mod 4.
-``B`` computes one cell and ``b_grid`` a box; neither loads ``cube``, which
-``cube_from_invariants`` imports when it builds a cube.
+``B`` computes one cell, ``b_rows`` the row classes of a box and ``b_grid``
+the box; none loads ``cube``, which ``cube_from_invariants`` imports when it
+builds a cube.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .congruence import DomainError, level_grid, level_sum, solve_linear, sqrt_count, sqrt_roots
+from .congruence import (
+    DomainError,
+    level_grid,
+    level_rows,
+    level_sum,
+    solve_linear,
+    sqrt_count,
+    sqrt_count_series,
+    sqrt_roots,
+)
 
 if TYPE_CHECKING:  # cube is imported where a cube is built, so B and b_grid do not load it
     from .cube import Cube
@@ -38,17 +48,26 @@ class CongruencePair(NamedTuple):
     t: int
 
 
-def congruence_pairs(D: int, m: int, n: int) -> list[CongruencePair]:
-    """All congruence pairs for (D, m, n), ordered lexicographically by (x, y)."""
+def iter_congruence_pairs(D: int, m: int, n: int) -> Iterator[CongruencePair]:
+    """The congruence pairs for (D, m, n) one at a time, by (x, y).
+
+    The roots are found at the call; the pairs, as many as their product,
+    are formed only as they are read.
+    """
     if D == 0 or m == 0 or n == 0:
         raise DomainError("congruence pairs need nonzero D, m, n")
     xs = [x for x in sqrt_roots(D, 4 * m) if x < 2 * abs(m)]
     ys = [y for y in sqrt_roots(D, 4 * n) if y < 2 * abs(n)]
-    return [
+    return (
         CongruencePair(D, m, n, x, y, (x * x - D) // (4 * m), (y * y - D) // (4 * n))
         for x in xs
         for y in ys
-    ]
+    )
+
+
+def congruence_pairs(D: int, m: int, n: int) -> list[CongruencePair]:
+    """All congruence pairs for (D, m, n), ordered lexicographically by (x, y)."""
+    return list(iter_congruence_pairs(D, m, n))
 
 
 def cube_from_invariants(D: int, m: int, n: int, x: int, y: int) -> Cube:
@@ -109,6 +128,11 @@ def _root_count(dd: int, k: int) -> int:
     return sqrt_count(dd, 4 * k)
 
 
+def _root_count_series(dd: int, K: int) -> list[int]:
+    """[0, A(dd, 4), ..., A(dd, 4K)], from the prime-power values of A(dd, .)."""
+    return sqrt_count_series(dd, K, 4)
+
+
 def B(D: int, m: int, n: int) -> int:
     """Orbit count B(D, m, n) over all four sign classes of the invariants.
 
@@ -122,6 +146,14 @@ def B(D: int, m: int, n: int) -> int:
     return level_sum(D, abs(m), abs(n), _root_count)
 
 
+def b_rows(D: int, M: int) -> tuple[list[tuple], dict[tuple, list[int]]]:
+    """B(D, m, n) for 0 <= m, n <= M as ``congruence.level_rows``: keys[m], rows[key].
+
+    Requires D = 0,1 mod 4, D != 0.
+    """
+    return level_rows(D, M, _root_count_series)
+
+
 def b_grid(D: int, M: int) -> list[list[int]]:
     """Grid of B(D, m, n) for 1 <= m, n <= M; index [m][n], row/col 0 unused.
 
@@ -129,4 +161,4 @@ def b_grid(D: int, M: int) -> list[list[int]]:
     """
     if D == 0 or D % 4 not in (0, 1):
         return [[0] * (M + 1) for _ in range(M + 1)]
-    return level_grid(D, M, _root_count)
+    return level_grid(D, M, _root_count_series)

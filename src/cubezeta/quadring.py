@@ -40,7 +40,7 @@ so ``moduli`` and ``verify thm13`` do not load it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .congruence import (
     DomainError,
@@ -171,6 +171,18 @@ def _oriented_classes(D: int, a: int) -> tuple[OrientedIdealClass, ...]:
     return tuple(OrientedIdealClass(-a, c.b) for c in positive) + positive
 
 
+def iter_ideal_class_pairs(D: int, a1: int, a2: int) -> Iterator[IdealClassPair]:
+    """The pairs of ``ideal_class_pairs`` one at a time, in the same order.
+
+    The classes of each norm are found at the call; the pairs, as many as
+    their product, are formed only as they are read.
+    """
+    if a1 < 1 or a2 < 1:
+        raise RangeError("norms must be positive")
+    firsts, seconds = _oriented_classes(D, a1), _oriented_classes(D, a2)
+    return (IdealClassPair(D, c1, c2) for c1 in firsts for c2 in seconds)
+
+
 def ideal_class_pairs(D: int, a1: int, a2: int) -> tuple[IdealClassPair, ...]:
     """All ordered pairs of classes with norms a1, a2 (both orientations).
 
@@ -179,13 +191,7 @@ def ideal_class_pairs(D: int, a1: int, a2: int) -> tuple[IdealClassPair, ...]:
     lists the negative a first, each sign by ascending b, and the product is
     taken first-major.
     """
-    if a1 < 1 or a2 < 1:
-        raise RangeError("norms must be positive")
-    return tuple(
-        IdealClassPair(D, c1, c2)
-        for c1 in _oriented_classes(D, a1)
-        for c2 in _oriented_classes(D, a2)
-    )
+    return tuple(iter_ideal_class_pairs(D, a1, a2))
 
 
 def pair_from_cube(A: Cube) -> IdealClassPair:

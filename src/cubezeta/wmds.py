@@ -5,18 +5,17 @@ a_pp(p, k, l) = p^(min(k,l)/2) when min(k, l) is even, else 0; the global
 coefficient a(D, m) is the product over primes of a_pp at the valuations of
 |D| and m.  The three-variable coefficient a3(D, m, n) is the divisor-level
 sum of ``congruence`` with local factor a(D', k), the same sum as the orbit
-count B; ``a_coeff3`` computes one cell and ``a3_grid`` a box.
+count B; ``a_coeff3`` computes one cell, ``a3_rows`` the row classes of a
+box and ``a3_grid`` the box.
 
 The twisted coefficient multiplies in the quadratic character of D evaluated
 on the part of m coprime to the squarefree part of D; ``tilde_a`` computes
 one, and ``twisted_series`` the row m <= M (or the character row alone).
-That row is built by ``multiplicative_series``, which fills [f(1), ...,
-f(M)] of a multiplicative f from its values at prime powers.
+That row, and the row of a(D', k) for each level, is built by
+``congruence.multiplicative_series`` from its values at prime powers.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .congruence import (
     DomainError,
@@ -26,7 +25,9 @@ from .congruence import (
     hat,
     kronecker,
     level_grid,
+    level_rows,
     level_sum,
+    multiplicative_series,
     squarefree_split,
     valuation,
 )
@@ -62,38 +63,19 @@ def a_coeff3(D: int, m: int, n: int) -> int:
     return level_sum(D, m, n, a_coeff)
 
 
+def _a_series(dd: int, K: int) -> list[int]:
+    """[0, a(dd, 1), ..., a(dd, K)], from the values a_pp at prime powers."""
+    return multiplicative_series(K, lambda p, e: a_pp(p, valuation(dd, p), e))
+
+
+def a3_rows(D: int, M: int) -> tuple[list[tuple], dict[tuple, list[int]]]:
+    """a3(D, m, n) for 0 <= m, n <= M as ``congruence.level_rows``: keys[m], rows[key]."""
+    return level_rows(D, M, _a_series)
+
+
 def a3_grid(D: int, M: int) -> list[list[int]]:
     """Grid of a3(D, m, n) for 1 <= m, n <= M (D != 0); index [m][n], row/col 0 zero."""
-    return level_grid(D, M, a_coeff)
-
-
-@lru_cache(maxsize=None)
-def _least_prime_powers(M: int) -> tuple[tuple[int, int, int], ...]:
-    """(p, e, n / p^e) for 2 <= n <= M, where p is the least prime of n and p^e || n."""
-    least = list(range(M + 1))
-    for p in range(2, M + 1):
-        if least[p] == p:
-            for n in range(p * p, M + 1, p):
-                least[n] = min(least[n], p)
-    out = []
-    for n in range(2, M + 1):
-        p, r, e = least[n], n // least[n], 1
-        while r % p == 0:
-            r, e = r // p, e + 1
-        out.append((p, e, r))
-    return tuple(out)
-
-
-def multiplicative_series(M: int, local) -> list[int]:
-    """[0, f(1), ..., f(M)] for the multiplicative f with f(p^e) = local(p, e).
-
-    local is called once per prime power p^e <= M; every other n is
-    f(p^e) f(n / p^e) for the least prime p of n, read from smaller entries.
-    """
-    out = [0] + [1] * M
-    for n, (p, e, r) in enumerate(_least_prime_powers(M), 2):
-        out[n] = local(p, e) if r == 1 else out[n // r] * out[r]
-    return out
+    return level_grid(D, M, _a_series)
 
 
 def tilde_a(D: int, m: int) -> int:

@@ -18,14 +18,15 @@ import cubezeta
 import cubezeta.commands.verify
 from cubezeta.cli import main
 from cubezeta.commands import _discriminants, _map_ordered
-from cubezeta.commands.table import _TABLE_CROSSOVER, _row_chunk_B, _workers
+from cubezeta.commands.table import _TABLE_CROSSOVER, _row_chunk_B, _row_chunk_a3, _workers
 from cubezeta.commands.verify import _aggregate_reports
 import cubezeta.identities
 import cubezeta.ppart
-from cubezeta.congruence import sqrt_count
+from cubezeta.congruence import chi, hat, sqrt_count
 from cubezeta.identities import IdentityReport
 from cubezeta.orbits import B
 from cubezeta.quadring import verify_thm13_scan
+from cubezeta.wmds import a_coeff3
 
 
 def run(capsys, *argv):
@@ -373,23 +374,50 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pairs", "--D", "1", "--m", "614889782588491410", "--n", "614889782588491410"],
+    ["moduli", "--D", "1", "--a1", "614889782588491410", "--a2", "614889782588491410"],
+], ids=["pairs", "moduli"])
+def test_a_product_of_a_billion_rows_streams_to_a_closed_stdout(argv):
+    # m = n = 47 primorial: 2^15 roots a side, about 1.07e9 pairs; the first
+    # rows are written as soon as they are formed, so closing the pipe ends it
+    proc = subprocess.Popen([sys.executable, "-m", "cubezeta.cli", *argv], env=src_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith(("1 1 0 0", '{"D": 1, "a1": -'))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=10) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+def pooled_box(what: str, Mmax: int) -> tuple[str, str, int]:
+    """(Dmax, Mmax, rows): the least Dmax whose table starts a pool at --threads 2."""
+    Dmax = _TABLE_CROSSOVER[what] // (Mmax * Mmax) - 2  # |D| <= Dmax holds about Dmax
+    while _workers(2, what, len(_discriminants(Dmax)) * Mmax * Mmax) == 1:
+        Dmax += 1
+    return str(Dmax), str(Mmax), len(_discriminants(Dmax)) * Mmax * Mmax
+
+
 def test_thread_count_does_not_change_output(capsys):
-    # 300 discriminants times a 32 x 32 box, 307,200 rows, start a pool at --threads 2
-    assert 300 * 32 * 32 >= _TABLE_CROSSOVER > 20 * 3 * 3
-    for Dmax, Mmax in ("20", "3"), ("300", "32"):
-        argv = ("table", "B", "--Dmax", Dmax, "--Mmax", Mmax)
+    # a box below every crossover, and for each kind one just above its own
+    assert _workers(2, "B", 20 * 3 * 3) == _workers(2, "a3", 20 * 3 * 3) == 1
+    for what, (Dmax, Mmax, rows) in [("B", ("20", "3", 20 * 3 * 3)), ("B", pooled_box("B", 40)),
+                                     ("a3", pooled_box("a3", 30))]:
+        argv = ("table", what, "--Dmax", Dmax, "--Mmax", Mmax)
         _, out1, _ = run(capsys, *argv, "--threads", "1")
         _, out2, _ = run(capsys, *argv, "--threads", "2")
-        assert out1 == out2 and out1.count("\n") == 1 + int(Dmax) * int(Mmax) ** 2
+        assert out1 == out2 and out1.count("\n") == 1 + rows
 
 
 def test_pooled_table_in_a_fresh_process_matches_one_process():
     # above the crossover, so --threads 2 forks a pool from a fresh process,
-    # whose workers inherit the orbits module that _cmd_table has run
-    argv = ("-m", "cubezeta.cli", "table", "B", "--Dmax", "300", "--Mmax", "32")
+    # whose workers inherit the orbits module that the table handler has run
+    Dmax, Mmax, rows = pooled_box("B", 40)
+    argv = ("-m", "cubezeta.cli", "table", "B", "--Dmax", Dmax, "--Mmax", Mmax)
     one, two = (python_with_src(*argv, "--threads", threads) for threads in ("1", "2"))
     assert (one.returncode, one.stderr) == (two.returncode, two.stderr) == (0, "")
-    assert two.stdout == one.stdout and one.stdout.count("\n") == 1 + 300 * 32 * 32
+    assert two.stdout == one.stdout and one.stdout.count("\n") == 1 + rows
 
 
 @pytest.mark.parametrize("what, module", [("B", "orbits"), ("a3", "wmds")])
@@ -612,9 +640,21 @@ def test_module_run_of_the_cli_leaves_stderr_clean_under_warnings_as_errors():
 
 
 def test_workers_fan_out_only_from_the_crossover():
-    assert _workers(4, _TABLE_CROSSOVER - 1) == 1
-    assert _workers(4, _TABLE_CROSSOVER) == 4
-    assert _workers(1, 10 * _TABLE_CROSSOVER) == 1
+    for what, crossover in _TABLE_CROSSOVER.items():
+        assert _workers(4, what, crossover - 1) == 1
+        assert _workers(4, what, crossover) == 4
+        assert _workers(1, what, 10 * crossover) == 1
+
+
+def test_table_rows_match_pointwise_cells():
+    # D = -3 * 30^2 has eight levels d <= 60, and many rows share a row class
+    D, M = -2700, 60
+    assert _row_chunk_B(D, M) == "".join(
+        f"{D},{m},{n},{B(D, m, n)}\n" for m in range(1, M + 1) for n in range(1, M + 1))
+    chis = [None] + [chi(D, hat(m, D)) for m in range(1, M + 1)]
+    assert _row_chunk_a3(D, M) == "".join(
+        f"{D},{m},{n},{a_coeff3(D, m, n)},{chis[m]},{chis[n]}\n"
+        for m in range(1, M + 1) for n in range(1, M + 1))
 
 
 def test_process_pool_keeps_results_in_order():

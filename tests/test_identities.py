@@ -15,9 +15,9 @@ from cubezeta.congruence import (
     kronecker,
     sqrt_count,
     sqrt_count_direct,
+    sqrt_count_series,
 )
 from cubezeta.identities import (
-    _series_root_count,
     convolve,
     convolve_many,
     partial_sum,
@@ -62,7 +62,7 @@ def test_sieved_series_match_the_per_coefficient_functions():
     for d in range(-100, 101):
         if d == 0:
             continue
-        counts, counts4 = _series_root_count(d, 200, 1), _series_root_count(d, 200, 4)
+        counts, counts4 = sqrt_count_series(d, 200, 1), sqrt_count_series(d, 200, 4)
         assert counts == [0] + [sqrt_count(d, a) for a in range(1, 201)], d
         assert counts4 == [0] + [sqrt_count(d, 4 * a) for a in range(1, 201)], d
         assert counts[:61] == [0] + [sqrt_count_direct(d, a) for a in range(1, 61)], d

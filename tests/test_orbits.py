@@ -145,3 +145,16 @@ def test_b_grid_matches_pointwise():
 def test_b_grid_matches_pointwise_with_square_factors(D0, k):
     # D1 = k * (the square part of D0) has several divisor levels d <= M
     assert_grids_match_pointwise(D0 * k * k, 40)
+
+
+@pytest.mark.parametrize("grid", [b_grid, a3_grid])
+def test_a_grid_edit_changes_only_its_cell(grid):
+    # D = -3 * 30^2 has six levels d <= 12; row 4 shares its row class with row 7
+    # of B and row 8 of a3, so a row list shared per class would leak the edit
+    D, M = -2700, 12
+    edited, fresh = grid(D, M), grid(D, M)
+    assert any(fresh[m] == fresh[4] for m in range(5, M + 1))
+    edited[4][3] += 1
+    changed = [(m, n) for m in range(M + 1) for n in range(M + 1)
+               if edited[m][n] != fresh[m][n]]
+    assert changed == [(4, 3)]
