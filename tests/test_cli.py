@@ -374,16 +374,20 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
-@pytest.mark.parametrize("argv", [
-    ["pairs", "--D", "1", "--m", "614889782588491410", "--n", "614889782588491410"],
-    ["moduli", "--D", "1", "--a1", "614889782588491410", "--a2", "614889782588491410"],
+@pytest.mark.parametrize("argv, first", [
+    (["pairs", "--D", "1", "--m", "614889782588491410", "--n", "614889782588491410"],
+     "1 1 0 0\n"),
+    (["moduli", "--D", "1", "--a1", "614889782588491410", "--a2", "614889782588491410"],
+     '{"D": 1, "a1": -614889782588491410, "b1": 1, "a2": -614889782588491410, "b2": 1, '
+     '"fiber": 1}\n'),
 ], ids=["pairs", "moduli"])
-def test_a_product_of_a_billion_rows_streams_to_a_closed_stdout(argv):
-    # m = n = 47 primorial: 2^15 roots a side, about 1.07e9 pairs; the first
-    # rows are written as soon as they are formed, so closing the pipe ends it
+def test_a_product_of_a_billion_rows_streams_to_a_closed_stdout(argv, first):
+    # m = n = 47 primorial: 2^15 roots a side, 2^30 (about 1.07e9) pairs, and
+    # 2^32 class pairs with both orientations; the first rows are written as
+    # soon as they are formed, so closing the pipe ends the run
     proc = subprocess.Popen([sys.executable, "-m", "cubezeta.cli", *argv], env=src_env(),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    assert proc.stdout.readline().startswith(("1 1 0 0", '{"D": 1, "a1": -'))
+    assert proc.stdout.readline() == first
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
