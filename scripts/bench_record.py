@@ -3,8 +3,9 @@
 
 Runs perfbench/run.py one run at a time on every workload: seeds 1-3 with
 --trace 0 (BENCHMARK.json's run_seconds each), then seed 1 with --trace 1.
-Keeps each run's "# env" line and final JSON line, the checkout's git SHA
-and whether src/ has uncommitted changes.  About ten minutes in all.
+Keeps each run's "# env" line and final JSON line, the checkout's git SHA,
+whether src/ has uncommitted changes and the line total of the Python files
+under src/.  About ten minutes in all.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ def main() -> int:
             for workload in WORKLOADS for seed, trace in ((1, 0), (2, 0), (3, 0), (1, 1))]
     record = {"pr": pr, "git_sha": git("rev-parse", "HEAD") or None,
               "src_dirty": bool(git("status", "--porcelain", "--", "src")),
+              "src_lines": sum(len(path.read_text().splitlines())
+                               for path in (ROOT / "src").rglob("*.py")),
               "run_seconds": seconds, "runs": runs}
     (ROOT / f"BENCH_{pr}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     failed = sum(not run.get("result", {}).get("correct") for run in runs)

@@ -39,8 +39,7 @@ _EXPORTS = {
     ),
     "identities": (
         "IdentityReport", "convolve", "convolve_bi", "convolve_many", "partial_sum",
-        "standard_series", "verify_cor24", "verify_prop21", "verify_prop25",
-        "verify_siegel", "verify_thm12",
+        "verify_cor24", "verify_prop21", "verify_prop25", "verify_siegel", "verify_thm12",
     ),
     "orbits": ("B", "CongruencePair", "b_grid", "congruence_pairs", "cube_from_invariants"),
     "ppart": (

@@ -465,6 +465,12 @@ def is_discriminant(D: int) -> bool:
     return D != 0 and D % 4 in (0, 1)
 
 
+def require_discriminant(D: int) -> None:
+    """DomainError unless ``is_discriminant(D)``: the one test and message for it."""
+    if not is_discriminant(D):
+        raise DomainError("D must be nonzero and = 0 or 1 mod 4")
+
+
 def _field_dstar(d: int) -> int:
     """Fundamental discriminant of Q(sqrt(d)) for any nonzero d."""
     d0, _ = squarefree_split(d)
@@ -476,8 +482,7 @@ def fundamental_discriminant(D: int) -> int:
 
     For perfect squares this is 1 (the attached character is trivial).
     """
-    if not is_discriminant(D):
-        raise DomainError("D must be nonzero and = 0 or 1 mod 4")
+    require_discriminant(D)
     return _field_dstar(D)
 
 
@@ -503,8 +508,7 @@ class DiscriminantData(NamedTuple):
 
 def discriminant_data(D: int) -> DiscriminantData:
     """Decompose a discriminant D = 0,1 mod 4 (nonzero)."""
-    if not is_discriminant(D):
-        raise DomainError("D must be nonzero and = 0 or 1 mod 4")
+    require_discriminant(D)
     d0, d1 = squarefree_split(D)
     dstar = _field_dstar(D)
     quot = D // dstar

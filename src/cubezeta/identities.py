@@ -40,9 +40,9 @@ powers by ``congruence.multiplicative_series``: the left sides A(d, a) and
 A(d, 4a) of ``congruence.sqrt_count_series``, read from ``sqrt_count`` at
 prime powers only, the L-series of chi_d, and the twisted series of
 ``wmds.twisted_series``.  Every right side
-is still a coefficientwise convolution, never an Euler product.  The
-report type, ``IdentityReport``, is defined in ``report`` and re-exported
-here.
+is still a coefficientwise convolution, never an Euler product.  Each
+check finds where its two sides first differ with ``report.first_mismatch``
+and reports in ``IdentityReport``, which is re-exported here.
 
 ``partial_sum`` evaluates truncations of the full three-variable sum
 sum_D sum_{m,n} B(D, m, n) m^{-s1} n^{-s2} |D|^{-w} in floats.
@@ -61,12 +61,13 @@ from .congruence import (
     kronecker,
     mobius,
     multiplicative_series,
+    require_discriminant,
     sqrt_count,
     sqrt_count_series,
     valuation,
 )
 from .orbits import b_grid
-from .report import IdentityReport  # re-exported: every check here returns it
+from .report import IdentityReport, compare, first_mismatch  # IdentityReport is re-exported
 from .wmds import a3_grid, twisted_series
 
 Coeffs = list  # c[0] unused; c[1..M] are the coefficients
@@ -276,10 +277,6 @@ def _corrected_two_part(d: int, M: int) -> Coeffs:
     return _place([1] + _two_tail(*_local_data(d, 2)), 2, M)
 
 
-def _series_p_siegel(d: int, M: int) -> Coeffs:
-    return convolve(_odd_part_series(d, M), _printed_two_part(d, M))
-
-
 def _series_p_prime(d: int, M: int) -> Coeffs:
     """Closed-form factor for the multiples-of-4 subseries (2^s-normalized).
 
@@ -294,77 +291,31 @@ def _series_p_prime(d: int, M: int) -> Coeffs:
     return convolve(_odd_part_series(d, M), _place(shifted, 2, M))
 
 
-_STANDARD = {
-    "zeta": _series_zeta,
-    "zeta2s_inverse": _series_zeta2s_inverse,
-    "zeta_odd_2s_inverse": _series_zeta_odd_2s_inverse,
-    "two_factor": _series_two_factor,
-}
-
-_STANDARD_D = {
-    "L_chi": _series_l_chi,
-    "P_siegel": _series_p_siegel,
-    "P_prime": _series_p_prime,
-    "P_tilde2": _series_p_tilde2,
-}
-
-
-def standard_series(name: str, M: int, d: int | None = None) -> Coeffs:
-    """Coefficient arrays of the named standard series up to M.
-
-    Names without a parameter: zeta, zeta2s_inverse, zeta_odd_2s_inverse,
-    two_factor.  Names requiring the discriminant d: L_chi, P_siegel
-    (printed closed form), P_prime (2^s-normalized closed form), P_tilde2.
-    """
-    if name in _STANDARD:
-        return _STANDARD[name](M)
-    if name in _STANDARD_D:
-        if d is None:
-            raise DomainError(f"series {name!r} needs the discriminant d")
-        return _STANDARD_D[name](d, M)
-    raise DomainError(f"unknown standard series {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Identity checks
 # ---------------------------------------------------------------------------
 
 
-def _first_mismatch(lhs: Coeffs, rhs: Coeffs) -> dict | None:
-    for n in range(1, len(lhs)):
-        if lhs[n] != rhs[n]:
-            return {"n": n, "lhs": lhs[n], "rhs": rhs[n]}
-    return None
-
-
-def _first_grid_mismatch(lhs, rhs) -> dict | None:
-    for m in range(1, len(lhs)):
-        if lhs[m] == rhs[m]:
-            continue
-        for n in range(1, len(lhs)):
-            if lhs[m][n] != rhs[m][n]:
-                return {"m": m, "n": n, "lhs": lhs[m][n], "rhs": rhs[m][n]}
-    return None
-
-
 def _printed_then_corrected(
     identity: str, params: dict, lhs, printed, corrected, known: str,
-    finding, form: str, find=_first_mismatch,
+    finding, form: str, names: tuple[str, ...],
 ) -> IdentityReport:
     """Check a printed right side against lhs, then a corrected one.
 
     The corrected right side is built by corrected() only when the printed
     one fails.  Status "equal" when the printed form holds, ``known`` with
     the text finding(first printed mismatch) when only the corrected form
-    holds, and "mismatch" when neither does.
+    holds, and "mismatch" when neither does.  ``names`` name the indices
+    of the arrays, as in ``first_mismatch``.
     """
-    mismatch = find(lhs, printed)
+    mismatch = first_mismatch(lhs, printed, names)
     if mismatch is None:
         return IdentityReport(identity, params, "equal", None)
-    corr = find(lhs, corrected())
+    corr = first_mismatch(lhs, corrected(), names)
     if corr is None:
         return IdentityReport(identity, params, known, mismatch, (finding(mismatch),))
-    where = f"(m, n)=({corr['m']}, {corr['n']})" if "m" in corr else f"n={corr['n']}"
+    keys, values = ", ".join(names), ", ".join(str(corr[name]) for name in names)
+    where = f"{keys}={values}" if len(names) == 1 else f"({keys})=({values})"
     return IdentityReport(
         identity, params, "mismatch", mismatch,
         (f"{form} form also disagrees at {where}",),
@@ -378,20 +329,18 @@ def verify_prop21(d: int, M: int) -> IdentityReport:
     of P's 2-adic factor is checked first; on disagreement the corrected
     factor (middle-term denominator 1 - 2^{-2s}) is checked as well.
     """
-    if not (d != 0 and d % 4 in (0, 1)):
-        raise DomainError("d must be a discriminant (nonzero, 0 or 1 mod 4)")
+    require_discriminant(d)
     lhs = sqrt_count_series(d, M, 1)
     base = convolve_many(
-        _series_zeta2s_inverse(M), _series_zeta(M), _series_l_chi(d, M)
+        _series_zeta2s_inverse(M), _series_zeta(M), _series_l_chi(d, M),
+        _odd_part_series(d, M),
     )
     return _printed_then_corrected(
         "prop21",
         {"d": d, "M": M},
         lhs,
-        convolve(base, _series_p_siegel(d, M)),
-        lambda: convolve(
-            base, convolve(_odd_part_series(d, M), _corrected_two_part(d, M))
-        ),
+        convolve(base, _printed_two_part(d, M)),
+        lambda: convolve(base, _corrected_two_part(d, M)),
         "known_p2_discrepancy",
         lambda mismatch: (
             "printed 2-adic factor disagrees with direct counting "
@@ -399,6 +348,7 @@ def verify_prop21(d: int, M: int) -> IdentityReport:
             "1-2^(-2s) instead of 1+2^(-2s); corrected factor matches"
         ),
         "corrected",
+        ("n",),
     )
 
 
@@ -419,8 +369,7 @@ def verify_cor24(d: int, M: int) -> IdentityReport:
     q^1, not q^2), which cannot be a Dirichlet series; this is reported as
     a finding, and the 2^s-normalized form is checked instead.
     """
-    if not (d != 0 and d % 4 in (0, 1)):
-        raise DomainError("d must be a discriminant (nonzero, 0 or 1 mod 4)")
+    require_discriminant(d)
     lhs = sqrt_count_series(d, M, 4)
     rhs = convolve_many(
         _series_zeta2s_inverse(M),
@@ -428,7 +377,7 @@ def verify_cor24(d: int, M: int) -> IdentityReport:
         _series_l_chi(d, M),
         _series_p_prime(d, M),
     )
-    mismatch = _first_mismatch(lhs, rhs)
+    mismatch = first_mismatch(lhs, rhs, ("n",))
     status = "mismatch" if mismatch else "known_p2_discrepancy"
     return IdentityReport("cor24", {"d": d, "M": M}, status, mismatch, (_PREFACTOR_NOTE,))
 
@@ -468,6 +417,7 @@ def verify_prop25(D: int, M: int) -> IdentityReport:
         "known_odd_square_discrepancy",
         lambda _: _ODD_SQUARE_NOTE,
         "damped",
+        ("n",),
     )
 
 
@@ -500,7 +450,7 @@ def verify_thm12(D: int, M: int) -> IdentityReport:
         "known_odd_square_discrepancy",
         lambda _: _ODD_SQUARE_NOTE + " (applied once per variable)",
         "damped",
-        find=_first_grid_mismatch,
+        ("m", "n"),
     )
 
 
@@ -555,13 +505,7 @@ def verify_siegel(d: int, p: int, T: int) -> IdentityReport:
         series = [sqrt_count(d, p**l) for l in range(T + 1)]
         rhs = _poly_mul([1, 1], _odd_factor(p, alpha, chi_p), T)
     lhs = _poly_mul([1, -chi_p], series, T)
-    params = {"d": d, "p": p, "T": T}
-    for l in range(T + 1):
-        if lhs[l] != rhs[l]:
-            return IdentityReport(
-                "siegel", params, "mismatch", {"l": l, "lhs": lhs[l], "rhs": rhs[l]}
-            )
-    return IdentityReport("siegel", params, "equal", None)
+    return compare("siegel", {"d": d, "p": p, "T": T}, lhs, rhs, ("l",))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ equals the prime-part coefficient built from square-root counts,
     b(k, l, t) = sum_{j >= 0} p^j * a2(k - 2j, l - j) * a2(k - 2j, t - j),
 
 where a2(k, l) = p^(min(k,l)/2) for min(k,l) even, else 0.  Both routes are
-implemented independently and compared exactly (``thm44_check``).
+implemented independently and compared exactly (``thm44_check``), and the
+closed form evaluated at p = 2, 3, 5 is compared with ``wmds.a_coeff3``
+(``specialization_check``); both report the first differing (l, k, t)
+found by ``report.first_mismatch``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .congruence import DomainError
-from .report import IdentityReport
+from .report import IdentityReport, compare, first_mismatch
 from .wmds import a_coeff3
 
 # ---------------------------------------------------------------------------
@@ -217,26 +220,27 @@ def f_a3_convolution(K: int) -> TriSeries:
     return out
 
 
-def specialization_check(K: int, primes: tuple[int, ...] = (2, 3, 5)) -> IdentityReport:
+_SPECIALIZATION_PRIMES = (2, 3, 5)
+
+
+def specialization_check(K: int) -> IdentityReport:
     """Evaluate the closed form at each prime and compare against a_coeff3.
 
     The bridge: the coefficient polynomial at (l, k, t), evaluated at p,
     must equal a_coeff3(p^k, p^l, p^t) (k is the exponent of the
     discriminant-like slot, whose square part drives the divisor levels).
+    The grids of the two sides are compared one prime at a time.
     """
-    params = {"kmax": K, "route": "specialization", "primes": tuple(primes)}
+    params = {"kmax": K, "route": "specialization", "primes": _SPECIALIZATION_PRIMES}
     closed = f_a3_expand(K)
-    for p in primes:
-        for l in range(K + 1):
-            for k in range(K + 1):
-                for t in range(K + 1):
-                    lhs = p_eval(closed.coeffs[l][k][t], p)
-                    rhs = a_coeff3(p**k, p**l, p**t)
-                    if lhs != rhs:
-                        return IdentityReport(
-                            "thm44", params, "mismatch",
-                            {"p": p, "l": l, "k": k, "t": t, "lhs": lhs, "rhs": rhs},
-                        )
+    degrees = range(K + 1)
+    for p in _SPECIALIZATION_PRIMES:
+        lhs = [[[p_eval(c, p) for c in row] for row in plane] for plane in closed.coeffs]
+        rhs = [[[a_coeff3(p**k, p**l, p**t) for t in degrees] for k in degrees]
+               for l in degrees]
+        mismatch = first_mismatch(lhs, rhs, ("l", "k", "t"))
+        if mismatch:
+            return IdentityReport("thm44", params, "mismatch", {"p": p, **mismatch})
     return IdentityReport("thm44", params, "equal", None)
 
 
@@ -246,16 +250,5 @@ def thm44_check(K: int) -> IdentityReport:
     The comparison is exact in the formal variable p (integer polynomial
     identity, stronger than any numeric specialization).
     """
-    params = {"kmax": K, "route": "polynomial"}
-    closed = f_a3_expand(K)
-    conv = f_a3_convolution(K)
-    for l in range(K + 1):
-        for k in range(K + 1):
-            for t in range(K + 1):
-                lhs, rhs = closed.coeffs[l][k][t], conv.coeffs[l][k][t]
-                if lhs != rhs:
-                    return IdentityReport(
-                        "thm44", params, "mismatch",
-                        {"index": [l, k, t], "lhs": list(lhs), "rhs": list(rhs)},
-                    )
-    return IdentityReport("thm44", params, "equal", None)
+    return compare("thm44", {"kmax": K, "route": "polynomial"},
+                   f_a3_expand(K).coeffs, f_a3_convolution(K).coeffs, ("l", "k", "t"))

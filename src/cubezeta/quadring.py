@@ -47,7 +47,7 @@ from .congruence import (
     RangeError,
     discriminant_data,
     divisors,
-    is_discriminant,
+    require_discriminant,
     sigma1,
     sqrt_roots,
     squarefree_split,
@@ -69,8 +69,7 @@ class QuadraticRing(_QuadraticRingFields):
     __slots__ = ()
 
     def __new__(cls, D: int):
-        if not is_discriminant(D):
-            raise DomainError("D must be a nonzero integer = 0 or 1 mod 4")
+        require_discriminant(D)
         return super().__new__(cls, D)
 
     def tau_square(self) -> tuple[int, int]:
@@ -127,8 +126,7 @@ class IdealClassPair(_IdealClassPairFields):
     __slots__ = ()
 
     def __new__(cls, D: int, first: OrientedIdealClass, second: OrientedIdealClass):
-        if not is_discriminant(D):
-            raise DomainError("D must be a nonzero integer = 0 or 1 mod 4")
+        require_discriminant(D)
         for c in (first, second):
             if not c.matches(D):
                 raise DomainError(f"(a={c.a}, b={c.b}) is not a class of discriminant {D}")
@@ -159,8 +157,7 @@ def classes_with_norm(D: int, a: int) -> tuple[OrientedIdealClass, ...]:
     """
     if a == 0:
         raise DomainError("a must be nonzero")
-    if not is_discriminant(D):
-        raise DomainError("D must be a nonzero integer = 0 or 1 mod 4")
+    require_discriminant(D)
     window = 2 * abs(a)
     return tuple(OrientedIdealClass(a, b) for b in sqrt_roots(D, 4 * a) if b < window)
 

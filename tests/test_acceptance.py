@@ -43,8 +43,9 @@ from cubezeta.cube import (
 )
 from cubezeta.identities import (
     convolve,
+    _series_p_tilde2,
+    _series_zeta,
     convolve_bi,
-    standard_series,
     verify_cor24,
     verify_prop21,
     verify_prop25,
@@ -84,7 +85,7 @@ def _zeta_odd_2s(M: int) -> list:
 
 def _printed_factor(D: int, M: int) -> list:
     """The printed per-variable factor P_tilde2 * zeta = (2 - 2*4^(-s)) zeta(s)."""
-    return convolve(standard_series("P_tilde2", M, D), standard_series("zeta", M))
+    return convolve(_series_p_tilde2(D, M), _series_zeta(M))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,13 @@ def test_count_domain_error_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("D", ["3", "0"])
+def test_a_non_discriminant_gets_one_message_from_every_command(capsys, D):
+    error = (2, "", "error: D must be nonzero and = 0 or 1 mod 4\n")
+    assert run(capsys, "moduli", "--D", D, "--a1", "1", "--a2", "1") == error
+    assert run(capsys, "verify", "thm13", "--D", D, "--a1", "1", "--a2", "1") == error
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["definitely-not-a-subcommand"]) == 2
     capsys.readouterr()
@@ -208,15 +215,12 @@ _THM44_FAIL = """{
   "checked": 2,
   "findings": [],
   "first_mismatch": {
-    "index": [
-      2,
-      3,
-      2
-    ],
     "instance": {
       "kmax": 3,
       "route": "polynomial"
     },
+    "k": 3,
+    "l": 2,
     "lhs": [
       0,
       -1,
@@ -226,7 +230,8 @@ _THM44_FAIL = """{
       0,
       0,
       1
-    ]
+    ],
+    "t": 2
   },
   "identity": "thm44",
   "params": {
@@ -271,6 +276,40 @@ def test_verify_siegel_failing_report_bytes(capsys, monkeypatch):
                         lambda d, a: sqrt_count(d, a) + (a == 8))
     assert run(capsys, "verify", "siegel", "--Dmax", "8", "--T", "6", "--threads", "1") == (
         1, _SIEGEL_FAIL, "")
+
+
+def _bump(builder, at):
+    """``builder`` with one added to its coefficient at index ``at``."""
+    return lambda *args: [c + (n == at) for n, c in enumerate(builder(*args))]
+
+
+_CORRECTED_ALSO_FAILS = {
+    "prop21": ("_corrected_two_part", 8, 5, 5,
+               {"n": 4, "lhs": 2, "rhs": 0, "instance": {"M": 12, "d": -4}},
+               "corrected form also disagrees at n=8"),
+    "cor24": ("_series_p_prime", 4, 5, 5,
+              {"n": 4, "lhs": 0, "rhs": 1, "instance": {"M": 12, "d": -4}},
+              cubezeta.identities._PREFACTOR_NOTE),
+    "prop25": ("_series_zeta_odd_2s_inverse", 4, 3, 4,
+               {"n": 9, "lhs": 0, "rhs": 2, "instance": {"D": -3, "M": 12}},
+               "damped form also disagrees at n=4"),
+    "thm12": ("_series_zeta_odd_2s_inverse", 4, 3, 4,
+              {"m": 1, "n": 9, "lhs": 0, "rhs": 4, "instance": {"D": -3, "M": 12}},
+              "damped form also disagrees at (m, n)=(1, 4)"),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(_CORRECTED_ALSO_FAILS))
+def test_verify_failing_report_bytes_when_the_corrected_form_also_fails(
+        capsys, monkeypatch, identity):
+    builder, at, Dmax, checked, first, finding = _CORRECTED_ALSO_FAILS[identity]
+    monkeypatch.setattr(cubezeta.identities, builder,
+                        _bump(getattr(cubezeta.identities, builder), at))
+    expected = {"checked": checked, "findings": [finding], "first_mismatch": first,
+                "identity": identity, "params": {"Dmax": Dmax, "M": 12}, "schema": 1,
+                "status": "fail"}
+    assert run(capsys, "verify", identity, "--Dmax", str(Dmax), "--M", "12",
+               "--threads", "1") == (1, json.dumps(expected, indent=2, sort_keys=True) + "\n", "")
 
 
 def _report(status, *findings, instance=0):
@@ -533,7 +572,7 @@ def test_modules_are_registered_at_import_and_run_on_first_use():
         "['congruence', 'cube', 'orbits', 'ppart', 'quadring', 'wmds'] "
         "['count', 'moduli', 'pairs', 'ppart', 'verify']",
         "True ['congruence', 'cube', 'orbits', 'ppart', 'quadring', 'wmds']",
-        "75 True",
+        "74 True",
     ]
 
 

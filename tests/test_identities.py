@@ -18,16 +18,21 @@ from cubezeta.congruence import (
     sqrt_count_series,
 )
 from cubezeta.identities import (
+    _series_l_chi,
+    _series_two_factor,
+    _series_zeta,
+    _series_zeta2s_inverse,
+    _series_zeta_odd_2s_inverse,
     convolve,
     convolve_many,
     partial_sum,
-    standard_series,
     verify_cor24,
     verify_prop21,
     verify_prop25,
     verify_siegel,
     verify_thm12,
 )
+from cubezeta.report import IdentityReport, compare, first_mismatch
 
 M_SMALL = 30
 coeff_arrays = st.lists(
@@ -36,20 +41,20 @@ coeff_arrays = st.lists(
 
 
 def test_standard_series_frozen():
-    assert standard_series("zeta", 12) == [0] + [1] * 12
-    z2 = standard_series("zeta2s_inverse", 40)
+    assert _series_zeta(12) == [0] + [1] * 12
+    z2 = _series_zeta2s_inverse(40)
     assert {i: v for i, v in enumerate(z2) if v} == {1: 1, 4: -1, 9: -1, 25: -1, 36: 1}
-    zo = standard_series("zeta_odd_2s_inverse", 240)
+    zo = _series_zeta_odd_2s_inverse(240)
     assert {i: v for i, v in enumerate(zo) if v} == {
         1: 1, 9: -1, 25: -1, 49: -1, 121: -1, 169: -1, 225: 1,
     }
-    tf = standard_series("two_factor", 32)
+    tf = _series_two_factor(32)
     assert {i: v for i, v in enumerate(tf) if v} == {1: 2, 4: -2}
 
 
 def test_standard_series_l_chi_matches_character():
     for d in (5, -4, 12, -23):
-        arr = standard_series("L_chi", 30, d=d)
+        arr = _series_l_chi(d, 30)
         assert arr == [0] + [chi(d, n) for n in range(1, 31)]
 
 
@@ -69,9 +74,46 @@ def test_sieved_series_match_the_per_coefficient_functions():
         assert counts4[:61] == [0] + [sqrt_count_direct(d, 4 * a) for a in range(1, 61)], d
         if is_discriminant(d):
             dstar = fundamental_discriminant(d)
-            assert standard_series("L_chi", 200, d) == [0] + [
+            assert _series_l_chi(d, 200) == [0] + [
                 kronecker(dstar, n) for n in range(1, 201)
             ], d
+
+
+def test_first_mismatch_at_depths_one_to_three():
+    assert first_mismatch([0, 1, 2], [0, 1, 2], ("n",)) is None
+    assert first_mismatch([5, 1], [4, 1], ("n",)) == {"n": 0, "lhs": 5, "rhs": 4}
+    # row 1 differs at column 2, and the later row 2 at the earlier column 1
+    lhs = [[0, 0, 0], [0, 1, 2], [0, 3, 4]]
+    rhs = [[0, 0, 0], [0, 1, 9], [0, 8, 4]]
+    assert first_mismatch(lhs, rhs, ("m", "n")) == {"m": 1, "n": 2, "lhs": 2, "rhs": 9}
+    assert first_mismatch(lhs, lhs, ("m", "n")) is None
+    # depth 3 with polynomial cells, as thm44 compares them
+    lhs = [[[(1,), ()], [(0, 1), (2,)]], [[(), ()], [(), ()]]]
+    rhs = [[[(1,), ()], [(0, 1), (3,)]], [[(), ()], [(5,), ()]]]
+    assert first_mismatch(lhs, rhs, ("l", "k", "t")) == {
+        "l": 0, "k": 1, "t": 1, "lhs": (2,), "rhs": (3,)}
+    assert compare("x", {}, lhs, rhs, ("l", "k", "t")) == IdentityReport(
+        "x", {}, "mismatch", {"l": 0, "k": 1, "t": 1, "lhs": (2,), "rhs": (3,)})
+    assert compare("x", {}, lhs, lhs, ("l", "k", "t")) == IdentityReport("x", {}, "equal", None)
+
+
+def test_first_mismatch_passes_over_an_equal_row_in_one_comparison():
+    class Unscanned(list):
+        def __iter__(self):
+            raise AssertionError("an equal row was scanned")
+
+    lhs = [Unscanned([1, 2]), [3, 4]]
+    rhs = [Unscanned([1, 2]), [3, 5]]
+    assert first_mismatch(lhs, rhs, ("m", "n")) == {"m": 1, "n": 1, "lhs": 4, "rhs": 5}
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    ([0, 1], [0, 1, 2]), ([0, 1, 2], [0, 1]), ([[0, 1]], [[0, 1, 2]]), ([[0]], [[0], [1]]),
+])
+def test_first_mismatch_rejects_arrays_of_unequal_length(lhs, rhs):
+    names = ("m", "n") if isinstance(lhs[0], list) else ("n",)
+    with pytest.raises(ValueError):
+        first_mismatch(lhs, rhs, names)
 
 
 @pytest.mark.parametrize("verify", [verify_prop21, verify_cor24, verify_prop25, verify_thm12])
@@ -79,11 +121,6 @@ def test_sieved_series_match_the_per_coefficient_functions():
 def test_verifiers_reject_a_cutoff_below_one(verify, M):
     with pytest.raises(RangeError):
         verify(5, M)
-
-
-def test_standard_series_rejects_unknown_name():
-    with pytest.raises(DomainError):
-        standard_series("not_a_series", 10)
 
 
 @settings(max_examples=100)
