@@ -1,11 +1,12 @@
 """2x2x2 integer cubes: invariants, group action, and an orbit-counting oracle.
 
 A cube A = (a, b, c, d, e, f, g, h) is sliced three ways into pairs of 2x2
-matrices (M_i, N_i); each slicing yields a binary quadratic form
-Q_i(u, v) = det(M_i u - N_i v).  All three forms share one discriminant D(A),
-and the leading coefficients of Q_1, Q_2 are the two further invariants
-m = ad - bc and n = ag - ce of the unipotent subgroup action used throughout:
-lower-unipotent shears in the first two factors and all of SL2 in the third.
+matrices (M_i, N_i), listed once in ``_SLICINGS``.  Slicing i yields the
+form Q_i(u, v) = det(M_i u - N_i v), and factor i of the group acts on the
+pair by (M, N) -> (r M + s N, t M + u N): lower-unipotent shears in factors
+1 and 2, all of SL2 in factor 3.  The three forms share one discriminant
+D(A), and the leading coefficients m = ad - bc and n = ag - ce of Q_1, Q_2
+are the two further invariants.
 
 The orbit oracle counts, by explicit enumeration and union-find, the orbits
 of cubes with given (D, |m|, |n|) -- all four sign classes together -- and
@@ -22,8 +23,9 @@ All three keep D, |m|, |n| and every |entry|, so only the part with
 a, d, g > 0 is enumerated and each of its components stands for four orbits.
 The third shear (b, e, f) += k*(d, g, h) commutes with both lower shears,
 so the enumeration yields its orbits (chains), each with the run of k that
-lies in a box, and union-find runs over chains.  One pass counts the
-components meeting the inner box twice: with the edges inside the box of
+lies in a box, and union-find runs over chains.  The oracle applies these
+moves by inline formulas of its own: they are its hot loop.  One pass counts
+the components meeting the inner box twice: with the edges inside the box of
 radius entry_bound + slack, and again after the deferred edges touching the
 outer shell (radius entry_bound + slack + 1).
 """
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .congruence import DomainError, divisors
@@ -67,31 +70,34 @@ class Cube(NamedTuple):
         return (self.a, self.b, self.c, self.d, self.e, self.f, self.g, self.h)
 
 
+# Slicing i: the positions in (a, ..., h) of M_i and of N_i, each read row by row
+_SLICINGS = {
+    1: ((0, 1, 2, 3), (4, 5, 6, 7)),  # [[a,b],[c,d]] and [[e,f],[g,h]]
+    2: ((0, 2, 4, 6), (1, 3, 5, 7)),  # [[a,c],[e,g]] and [[b,d],[f,h]]
+    3: ((0, 4, 1, 5), (2, 6, 3, 7)),  # [[a,e],[b,f]] and [[c,g],[d,h]]
+}
+_READ = {i: itemgetter(*M, *N) for i, (M, N) in _SLICINGS.items()}
+
+
+def _form(A: Cube, i: int) -> BinaryQuadraticForm:
+    """det(M u - N v) for the pair (M, N) = ([[p, q], [r, s]], [[w, x], [y, z]]) of slicing i."""
+    p, q, r, s, w, x, y, z = _READ[i](A)
+    return BinaryQuadraticForm(p * s - q * r, q * y + x * r - p * z - w * s, w * z - x * y)
+
+
 def form1(A: Cube) -> BinaryQuadraticForm:
     """Form of the front/back slicing: det([[a,b],[c,d]] u - [[e,f],[g,h]] v)."""
-    return BinaryQuadraticForm(
-        A.a * A.d - A.b * A.c,
-        -A.a * A.h + A.b * A.g + A.c * A.f - A.d * A.e,
-        A.e * A.h - A.f * A.g,
-    )
+    return _form(A, 1)
 
 
 def form2(A: Cube) -> BinaryQuadraticForm:
     """Form of the left/right slicing: det([[a,c],[e,g]] u - [[b,d],[f,h]] v)."""
-    return BinaryQuadraticForm(
-        A.a * A.g - A.c * A.e,
-        -A.a * A.h - A.b * A.g + A.c * A.f + A.d * A.e,
-        A.b * A.h - A.d * A.f,
-    )
+    return _form(A, 2)
 
 
 def form3(A: Cube) -> BinaryQuadraticForm:
     """Form of the top/bottom slicing: det([[a,e],[b,f]] u - [[c,g],[d,h]] v)."""
-    return BinaryQuadraticForm(
-        A.a * A.f - A.b * A.e,
-        -A.a * A.h + A.b * A.g - A.c * A.f + A.d * A.e,
-        A.c * A.h - A.d * A.g,
-    )
+    return _form(A, 3)
 
 
 def forms(A: Cube) -> tuple[BinaryQuadraticForm, BinaryQuadraticForm, BinaryQuadraticForm]:
@@ -105,7 +111,8 @@ def discriminant(A: Cube) -> int:
 
 def invariants(A: Cube) -> tuple[int, int, int]:
     """(D, m, n): discriminant and the two leading coefficients m = ad-bc, n = ag-ce."""
-    return discriminant(A), A.a * A.d - A.b * A.c, A.a * A.g - A.c * A.e
+    q1 = form1(A)
+    return q1.discriminant(), q1.a, form2(A).a
 
 
 def is_semistable(A: Cube) -> bool:
@@ -162,30 +169,21 @@ def sl2(r: int, s: int, t: int, u: int) -> GroupElement:
     return GroupElement(3, mat=((r, s), (t, u)))
 
 
-def act(g: GroupElement, A: Cube) -> Cube:
-    """Apply one group element.
+def _act(i: int, mat, A: Cube) -> Cube:
+    """Apply the 2x2 matrix ((r, s), (t, u)) to the pair (M, N) of slicing i.
 
-    Factor i acts on the slicing pair (M_i, N_i) by
-    (M, N) -> (r M + s N, t M + u N); for the shears (r,s,t,u) = (1,0,k,1).
+    The pair becomes (r M + s N, t M + u N).
     """
-    a, b, c, d, e, f, g2, h = A.entries()
-    if g.factor == 1:
-        k = g.k
-        return Cube(a, b, c, d, e + k * a, f + k * b, g2 + k * c, h + k * d)
-    if g.factor == 2:
-        k = g.k
-        return Cube(a, b + k * a, c, d + k * c, e, f + k * e, g2, h + k * g2)
-    (r, s), (t, u) = g.mat
-    return Cube(
-        r * a + s * c,
-        r * b + s * d,
-        t * a + u * c,
-        t * b + u * d,
-        r * e + s * g2,
-        r * f + s * h,
-        t * e + u * g2,
-        t * f + u * h,
-    )
+    (r, s), (t, u) = mat
+    out = list(A)
+    for j, k in zip(*_SLICINGS[i]):
+        out[j], out[k] = r * A[j] + s * A[k], t * A[j] + u * A[k]
+    return Cube(*out)
+
+
+def act(g: GroupElement, A: Cube) -> Cube:
+    """Apply one element's matrix, ((1, 0), (k, 1)) for a shear by k, to its factor's pair."""
+    return _act(g.factor, g.mat or ((1, 0), (g.k, 1)), A)
 
 
 def act_word(word, A: Cube) -> Cube:
@@ -199,17 +197,14 @@ def act_word(word, A: Cube) -> Cube:
 # Stabilizer scan
 # ---------------------------------------------------------------------------
 
-_S = sl2(0, -1, 1, 0)
-_S_INV = sl2(0, 1, -1, 0)
+_IDENTITY = ((1, 0), (0, 1))
+# (factor, matrix): the shears by +-1 of factors 1 and 2, and of factor 3 the
+# upper shears by +-1 and the rotation S = ((0, -1), (1, 0)) and its inverse
 _WORD_GENERATORS = (
-    shear1(1),
-    shear1(-1),
-    shear2(1),
-    shear2(-1),
-    sl2(1, 1, 0, 1),
-    sl2(1, -1, 0, 1),
-    _S,
-    _S_INV,
+    (1, ((1, 0), (1, 1))), (1, ((1, 0), (-1, 1))),
+    (2, ((1, 0), (1, 1))), (2, ((1, 0), (-1, 1))),
+    (3, ((1, 1), (0, 1))), (3, ((1, -1), (0, 1))),
+    (3, ((0, -1), (1, 0))), (3, ((0, 1), (-1, 0))),
 )
 
 
@@ -223,41 +218,25 @@ def _mat_mul(m1, m2):
 def group_words(max_length: int):
     """Distinct group elements reachable by generator words up to max_length.
 
-    Elements are triples (k1, k2, mat): the two shear parameters and the
-    third-factor matrix (the three factors commute with each other).  The
+    An element is the triple of its factors' matrices (the three factors
+    commute with each other), a shear by k being ((1, 0), (k, 1)); a word
+    multiplies each generator into its factor's matrix from the left.  The
     identity is excluded.
     """
-    seen = {(0, 0, ((1, 0), (0, 1)))}
-    frontier = [(0, 0, ((1, 0), (0, 1)))]
+    frontier = [(_IDENTITY,) * 3]
+    seen = set(frontier)
     out = []
     for _ in range(max_length):
         new_frontier = []
-        for k1, k2, mat in frontier:
-            for gen in _WORD_GENERATORS:
-                if gen.factor == 1:
-                    elt = (k1 + gen.k, k2, mat)
-                elif gen.factor == 2:
-                    elt = (k1, k2 + gen.k, mat)
-                else:
-                    elt = (k1, k2, _mat_mul(gen.mat, mat))
-                if elt not in seen:
-                    seen.add(elt)
-                    new_frontier.append(elt)
-                    out.append(elt)
+        for elt in frontier:
+            for i, gen in _WORD_GENERATORS:
+                moved = (*elt[:i - 1], _mat_mul(gen, elt[i - 1]), *elt[i:])
+                if moved not in seen:
+                    seen.add(moved)
+                    new_frontier.append(moved)
+                    out.append(moved)
         frontier = new_frontier
     return out
-
-
-def _apply_triple(elt, A: Cube) -> Cube:
-    k1, k2, mat = elt
-    B = A
-    if k1:
-        B = act(shear1(k1), B)
-    if k2:
-        B = act(shear2(k2), B)
-    if mat != ((1, 0), (0, 1)):
-        B = act(GroupElement(3, mat=mat), B)
-    return B
 
 
 def stabilizer_trivial(A: Cube, max_length: int = 4) -> bool:
@@ -266,7 +245,14 @@ def stabilizer_trivial(A: Cube, max_length: int = 4) -> bool:
     Semistable cubes have trivial stabilizer in the unipotent-times-SL2
     group; this scans all distinct elements reachable by short words.
     """
-    return all(_apply_triple(elt, A) != A for elt in group_words(max_length))
+    for elt in group_words(max_length):
+        B = A
+        for i, mat in enumerate(elt, 1):
+            if mat != _IDENTITY:
+                B = _act(i, mat, B)
+        if B == A:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -528,8 +528,11 @@ def partial_sum(s1: float, s2: float, w: float, Dmax: int, M: int) -> PartialSum
     integer coefficients are combined in floats with math.fsum in a fixed
     deterministic order.  The converged_region flag is False (with a
     warning) when any exponent is <= 1, where the full series does not
-    converge absolutely and truncations are heuristic.
+    converge absolutely and truncations are heuristic.  Raises DomainError
+    for a non-finite exponent and RangeError when a term overflows a float.
     """
+    if not all(map(math.isfinite, (s1, s2, w))):
+        raise DomainError("exponents s1, s2, w must be finite")
     warnings = []
     if min(s1, s2, w) <= 1:
         warnings.append(
@@ -537,15 +540,19 @@ def partial_sum(s1: float, s2: float, w: float, Dmax: int, M: int) -> PartialSum
             "region; the truncated value is heuristic"
         )
     terms = []
-    for D in range(-Dmax, Dmax + 1):
-        if D == 0 or D % 4 not in (0, 1):
-            continue
-        inner = [
-            b * m**-s1 * n**-s2
-            for m, row in enumerate(b_grid(D, M)) for n, b in enumerate(row) if b
-        ]
-        if inner:
-            terms.append(math.fsum(inner) * abs(D) ** -w)
-    return PartialSumResult(
-        math.fsum(terms), Dmax, M, not warnings, tuple(warnings)
-    )
+    try:
+        for D in range(-Dmax, Dmax + 1):
+            if D == 0 or D % 4 not in (0, 1):
+                continue
+            inner = [
+                b * m**-s1 * n**-s2
+                for m, row in enumerate(b_grid(D, M)) for n, b in enumerate(row) if b
+            ]
+            if inner:
+                terms.append(math.fsum(inner) * abs(D) ** -w)
+        value = math.fsum(terms)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise RangeError("a term of the sum overflows a float")
+    return PartialSumResult(value, Dmax, M, not warnings, tuple(warnings))

@@ -202,11 +202,8 @@ def pair_from_cube(A: Cube) -> IdealClassPair:
 
     if not is_semistable(A):
         raise DomainError("cube must have nonzero invariants D, m, n")
-    q1, q2 = form1(A), form2(A)
-    if q1.a == 0 or q2.a == 0:
-        raise DomainError("slicing form has a vanishing leading coefficient")
-    ring, c1 = ring_ideal_from_form(q1)
-    _, c2 = ring_ideal_from_form(q2)
+    ring, c1 = ring_ideal_from_form(form1(A))
+    _, c2 = ring_ideal_from_form(form2(A))
     return IdealClassPair(ring.D, c1, c2)
 
 

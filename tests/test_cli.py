@@ -359,6 +359,17 @@ def test_zeta_value_and_warning(capsys):
     assert "convergence" in err or "heuristic" in err
 
 
+@pytest.mark.parametrize("s1, message", [
+    ("-400", "error: a term of the sum overflows a float\n"),  # 2**400 as a float
+    ("nan", "error: exponents s1, s2, w must be finite\n"),
+    ("inf", "error: exponents s1, s2, w must be finite\n"),
+], ids=["overflow", "nan", "inf"])
+def test_zeta_exits_2_on_overflow_and_non_finite_exponents(s1, message):
+    argv = ["zeta", "--s1", s1, "--s2", "1", "--w", "1", "--Dmax", "8", "--Mmax", "8"]
+    proc = python_with_src("-m", "cubezeta.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
 @pytest.mark.parametrize("command, flag, empty", [
     (("table", "B", "--Mmax", "3"), "--Dmax", "D,m,n,B\n"),
     (("table", "a3", "--Dmax", "5"), "--Mmax", "D,m,n,a,chi_m,chi_n\n"),

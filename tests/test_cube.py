@@ -23,6 +23,7 @@ from cubezeta.cube import (
     form1,
     form2,
     forms,
+    group_words,
     invariants,
     is_semistable,
     orbit_count_oracle,
@@ -73,6 +74,16 @@ def test_invariants_of_reference_cubes():
     assert discriminant(A) in (0, 1) or discriminant(A) % 4 in (0, 1)
 
 
+def test_forms_and_action_on_a_generic_cube():
+    # frozen from the expanded per-slicing formulas of forms and act
+    A = Cube(2, 3, 5, 7, 11, 13, 17, 19)
+    assert forms(A) == ((-1, 1, -12), (-21, 53, -34), (-7, 25, -24))
+    assert invariants(A) == (-47, -1, -21)
+    assert act(shear1(2), A) == Cube(2, 3, 5, 7, 15, 19, 27, 33)
+    assert act(shear2(-3), A) == Cube(2, -3, 5, -8, 11, -20, 17, -32)
+    assert act(sl2(2, 1, 1, 1), A) == Cube(9, 13, 7, 10, 39, 45, 28, 32)
+
+
 @given(cubes)
 def test_three_forms_share_a_discriminant(A):
     q1, q2, q3 = forms(A)
@@ -88,19 +99,29 @@ def test_invariants_constant_under_generators(A, k1, k2, pick):
         assert invariants(act(g, A)) == (D, m, n)
 
 
+def letter_kind(g):
+    """1 or 2 for the shears, else which off-diagonal entries of the SL2 letter are nonzero."""
+    return g.factor if g.mat is None else (3, g.mat[0][1] != 0, g.mat[1][0] != 0)
+
+
+# the words of these seeds hold every letter kind: both shears, and the upper,
+# lower and swapping SL2 letters
+WORDS = [random_word(random.Random(seed), 4) for seed in range(8)]
+
+
 @given(cubes)
 @settings(max_examples=60)
 def test_word_then_inverse_word_restores(A):
-    rng = random.Random(7)
-    word = random_word(rng, 4)
-    inverse = []
-    for g in reversed(word):
-        if g.factor in (1, 2):
-            inverse.append(GroupElement(g.factor, -g.k, None))
-        else:
-            a, b, c, d = g.mat
-            inverse.append(sl2(d, -b, -c, a))
-    assert act_word(inverse, act_word(word, A)) == A
+    assert len({letter_kind(g) for word in WORDS for g in word}) == 5
+    for word in WORDS:
+        inverse = []
+        for g in reversed(word):
+            if g.factor in (1, 2):
+                inverse.append(GroupElement(g.factor, -g.k, None))
+            else:
+                (a, b), (c, d) = g.mat
+                inverse.append(sl2(d, -b, -c, a))
+        assert act_word(inverse, act_word(word, A)) == A, word
 
 
 def test_group_element_validation():
@@ -140,6 +161,17 @@ def test_stabilizer_trivial_on_reference_cubes():
         A = Cube(*vals)
         if is_semistable(A):
             assert stabilizer_trivial(A, max_length=3)
+
+
+def test_group_word_counts_and_fixed_cubes():
+    # distinct nonidentity elements of words up to length 2, 3 and 4
+    assert [len(group_words(n)) for n in (2, 3, 4)] == [43, 151, 415]
+    assert stabilizer_trivial(Cube(1, 0, 0, 1, 0, 1, 1, 0), max_length=2)
+    # every element fixes the zero cube; shear1 fixes a zero front face and
+    # shear2 a zero left face
+    for A in (Cube(0, 0, 0, 0, 0, 0, 0, 0), Cube(0, 0, 0, 0, 1, 2, 3, 4),
+              Cube(0, 1, 0, 2, 0, 3, 0, 4)):
+        assert not stabilizer_trivial(A, max_length=2), A
 
 
 # ---------------------------------------------------------------------------
