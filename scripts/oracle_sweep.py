@@ -5,7 +5,8 @@ Enumerates, for each cell (D, m, n), the c = 0 slice of integer cubes with
 bounded entries whose invariants match, counts the connected components of
 their move graph by union-find (orbit_count_oracle), and compares the stable
 count against B(D, m, n).  Prints each mismatch and a one-line summary with
-the number of cubes enumerated; exit 1 on mismatch.
+the number of cubes enumerated; exit 1 on mismatch, and exit 2 with the
+oracle's estimate when a cell's box is above its work cap.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import sys
 import time
 
-from cubezeta.congruence import is_discriminant
+from cubezeta.congruence import RangeError, is_discriminant
 from cubezeta.cube import orbit_count_oracle
 from cubezeta.orbits import B
 
@@ -43,9 +44,13 @@ def main() -> int:
         for m in range(1, args.Mmax + 1):
             for n in range(m, args.Mmax + 1):
                 cells += 1
-                result = orbit_count_oracle(
-                    D, m, n, entry_bound=args.entry_bound, slack=args.slack
-                )
+                try:
+                    result = orbit_count_oracle(
+                        D, m, n, entry_bound=args.entry_bound, slack=args.slack
+                    )
+                except RangeError as exc:
+                    print(f"error: D={D} m={m} n={n}: {exc}", file=sys.stderr)
+                    return 2
                 enumerated += result.cubes_enumerated
                 want = B(D, m, n)
                 if not result.stable:

@@ -22,12 +22,12 @@ turns one lower shear into its inverse and commutes with the other moves.
 All three keep D, |m|, |n| and every |entry|, so only the part with
 a, d, g > 0 is enumerated and each of its components stands for four orbits.
 The third shear (b, e, f) += k*(d, g, h) commutes with both lower shears,
-so the enumeration yields its orbits (chains), each with the run of k that
-lies in a box, and union-find runs over chains.  The oracle applies these
-moves by inline formulas of its own: they are its hot loop.  One pass counts
-the components meeting the inner box twice: with the edges inside the box of
-radius entry_bound + slack, and again after the deferred edges touching the
-outer shell (radius entry_bound + slack + 1).
+so the enumeration yields its orbits (chains), each named by three integers
+with the run of k that lies in a box, and union-find runs over chains.  The
+oracle applies these moves to the names by formulas of its own: they are its
+hot loop.  One pass counts the components meeting the inner box twice: with
+the edges inside the box of radius entry_bound + slack, and again after the
+deferred edges touching the outer shell (radius entry_bound + slack + 1).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .congruence import DomainError, divisors
+from .congruence import DomainError, RangeError, divisors
 
 
 class BinaryQuadraticForm(NamedTuple):
@@ -270,6 +270,9 @@ class OracleCount(NamedTuple):
     cubes_enumerated: int
 
 
+_ORACLE_CAP = 2_000_000  # the most residues the oracle scans and (x, h) steps it takes
+
+
 def default_entry_bound(D: int, m: int, n: int) -> int:
     """Box radius covering the constructive orbit representatives plus margin.
 
@@ -297,30 +300,31 @@ def _slice_roots(D: int, m: int, n: int) -> list[int]:
 
 
 def _slice_enumerate(D: int, m: int, n: int, R: int, slack: int, roots):
-    """Third-shear chains of the cubes with c = 0 and a, d, g > 0.
+    """Third-shear chains of the cubes with c = 0 and a, d, g > 0, by divisor a.
 
-    Yields (rep, inner, core, outer) for the cubes with |m| = m, |n| = n and
-    discriminant D.  A chain is one orbit of the third-factor shear, which on
-    the slice is (b, e, f) += k*(d, g, h): its cubes are rep shifted by k,
-    named by the representative rep with 0 <= e < g.  Each entry is affine
-    in k, so the largest absolute entry is convex in k and the k whose cube
-    has all entries <= rho form one interval (lo, hi), empty when lo > hi:
-    inner, core and outer are these for rho = R, R + slack and R + slack + 1.
-    Each chain with a nonempty outer interval is yielded once.  The sign
-    flips of (b, d, f, h) and of (e, f, g, h) keep D, |m|, |n| and |entries|
-    and give the rest of the a > 0 half.
+    Covers the cubes with |m| = m, |n| = n and discriminant D; the sign flips
+    of (b, d, f, h) and of (e, f, g, h) keep D, |m|, |n| and |entries| and
+    give the rest of the a > 0 half.  A chain is one orbit of the third-factor
+    shear (b, e, f) += k*(d, g, h), which keeps h and x = b*g - d*e - a*h:
+    chain (x, h, e) has at k = 0 the cube with 0 <= e < g,
+    b = (x + a*h + d*e) / g and f = (e*h - (x*x - D) / (4m)) / g.  Each entry
+    is affine in k, so the k whose cube has all entries <= rho form one
+    interval (lo, hi), empty when lo > hi: inner, core and outer are these
+    for rho = R, R + slack and R + slack + 1.  For each divisor a of gcd(m, n)
+    with d = m / a and g = n / a in the box, yields (a, d, g, index, spans):
+    index maps the key of each chain with a nonempty outer interval to its
+    number i, and spans[i] = (inner_lo, inner_hi, core_lo, core_hi, outer_lo,
+    outer_hi).
 
-    Walks the Diophantine structure of the slice: a*d = m, a*g = n, and
-    x = b*g - d*e - a*h (the middle coefficient of the first form, which the
-    shear keeps, as it keeps h) runs over the classes mod 4m of ``roots``
-    from ``_slice_roots``.  Given (x, h), g*b - d*e = x + a*h fixes e modulo
-    g / gamma with gamma = gcd(d, g), so the (x, h) line holds gamma
-    representatives, and e*h - f*g = (x*x - D) / (4m) fixes f when g divides
-    it.  A cube of the box has |b*g - d*e| <= rho*(d + g) and
-    |e*h - f*g| <= rho*(|h| + g), which bounds h for each x.
+    Walks the Diophantine structure of the slice: a*d = m, a*g = n, and x
+    runs over the classes mod 4m of ``roots`` from ``_slice_roots``.  Given
+    (x, h), g*b - d*e = x + a*h fixes e modulo g / gamma with
+    gamma = gcd(d, g), so the (x, h) line holds gamma representatives, and
+    e*h - f*g = (x*x - D) / (4m) fixes f when g divides it.  A cube of the box
+    has |b*g - d*e| <= rho*(d + g) and |e*h - f*g| <= rho*(|h| + g), which
+    bounds h for each x.
     """
-    radii = (R, R + slack, R + slack + 1)
-    rho = radii[2]
+    core, rho = R + slack, R + slack + 1
     for a in divisors(math.gcd(m, n)):
         d, g = m // a, n // a
         adg = max(a, d, g)
@@ -332,6 +336,7 @@ def _slice_enumerate(D: int, m: int, n: int, R: int, slack: int, roots):
         e_unit = -pow(d // gamma, -1, g1)
         w_max = rho * (d + g)
         x_max = w_max + a * rho
+        index, spans = {}, []
         for r in roots:
             for x in range(r - 4 * m * ((r + x_max) // (4 * m)), x_max + 1, 4 * m):
                 s = (x * x - D) // (4 * m)
@@ -352,18 +357,31 @@ def _slice_enumerate(D: int, m: int, n: int, R: int, slack: int, roots):
                             continue
                         b = (w + d * e) // g
                         f = num // g
-                        # |b + k*d|, |e + k*g| and |f + k*h| = |fh + k*hh| are at most
-                        # bound; at h = 0 the e-term stands in for the f-term
+                        # lo = -min((rho + .) // .) and hi = min((rho - .) // .) over |b + k*d|,
+                        # |e + k*g| and |f + k*h| = |fh + k*hh|; at h = 0 the e-term stands in
+                        # for the f-term, and |f| <= rho, as the band leaves out h = 0 otherwise
                         fh, hh = (f, h) if h > 0 else (-f, -h) if h else (e, g)
-                        fixed = max(adg, abs(h) if h else abs(f))
-                        spans = [
-                            (max(-((bound + b) // d), -((bound + e) // g), -((bound + fh) // hh)),
-                             min((bound - b) // d, (bound - e) // g, (bound - fh) // hh))
-                            if fixed <= bound else (1, 0)
-                            for bound in radii
-                        ]
-                        if spans[2][0] <= spans[2][1]:
-                            yield ((a, b, 0, d, e, f, g, h), *spans)
+                        u, v, t = (rho + b) // d, (rho + e) // g, (rho + fh) // hh
+                        lo = -(u if u < v and u < t else v if v < t else t)
+                        u, v, t = (rho - b) // d, (rho - e) // g, (rho - fh) // hh
+                        hi = u if u < v and u < t else v if v < t else t
+                        if lo > hi:
+                            continue
+                        fixed = abs(h) if h else abs(f)
+                        c_lo, c_hi, i_lo, i_hi = 1, 0, 1, 0
+                        if fixed <= core and adg <= core:
+                            u, v, t = (core + b) // d, (core + e) // g, (core + fh) // hh
+                            c_lo = -(u if u < v and u < t else v if v < t else t)
+                            u, v, t = (core - b) // d, (core - e) // g, (core - fh) // hh
+                            c_hi = u if u < v and u < t else v if v < t else t
+                            if fixed <= R and adg <= R:
+                                u, v, t = (R + b) // d, (R + e) // g, (R + fh) // hh
+                                i_lo = -(u if u < v and u < t else v if v < t else t)
+                                u, v, t = (R - b) // d, (R - e) // g, (R - fh) // hh
+                                i_hi = u if u < v and u < t else v if v < t else t
+                        index[x, h, e] = len(spans)
+                        spans.append((i_lo, i_hi, c_lo, c_hi, lo, hi))
+        yield a, d, g, index, spans
 
 
 def _find(parent: list[int], i: int) -> int:
@@ -381,53 +399,60 @@ def orbit_count_oracle(
     All four sign classes of (m, n) are counted together.  Enumerates the
     part of the c = 0 slice with a, d, g > 0 inside a box of radius
     R + slack + 1 (R = entry_bound) as third-shear chains
-    (``_slice_enumerate``) and counts, in one union-find pass over chains,
-    the components meeting the inner box of radius R: first under the shear
+    (``_slice_enumerate``) and counts, by union-find over chains, the
+    components meeting the inner box of radius R: first under the shear
     edges between cubes of the box of radius R + slack, then again after the
-    deferred edges that touch the outer shell are added.  A chain's cubes
-    inside any box are one run of k, linked by the third shear.  The lower
-    shears commute with it, e.g. for the first one
-    f + k*h + b + k*d = f + b + k*(h + d), so the k = +1 move of each cube of
-    chain C lands on chain C' at k + q for one offset q: an edge joins C and
-    C' when their intervals meet after the offset.  The two sign flips give
-    four such components in the a > 0 half, and negation pairs each with one
-    of the a < 0 half into one orbit trace, so four times these are the orbit
-    counts.  The count is stable when the two agree, i.e. when enlarging the
-    slack by one does not change it, and the inner box holds a cube.  An
-    empty inner box is stable only when no cube has these invariants at all,
-    i.e. when D is no square mod 4m or mod 4n (then B = 0).
-    ``cubes_enumerated`` counts the whole slice in the box.
+    deferred edges that touch the outer shell are added.  The lower shears
+    keep a, d and g and commute with the third shear, so each divisor a has
+    its own union-find, and the k = +1 move of the second shear takes the
+    cube of chain (x, h, e) at k to chain (x, h + g, e) at k, that of the
+    first, reduced by the third shear, to (x - 2m, h + d, (e + a) mod g) at
+    k + (e + a) // g: an edge joins two chains when their intervals meet
+    after the offset.  The two sign flips give four such components in the
+    a > 0 half, and negation pairs each with one of the a < 0 half into one
+    orbit trace, so four times these are the orbit counts.  The count is
+    stable when the two agree, i.e. when enlarging the slack by one does not
+    change it, and the inner box holds a cube.  An empty inner box is stable
+    only when no cube has these invariants at all, i.e. when D is no square
+    mod 4m or mod 4n (then B = 0).  ``cubes_enumerated`` counts the whole
+    slice in the box.  Raises RangeError before any enumeration when 4(m + n)
+    or the box's (x, h) steps, the sum over its divisors a of
+    |roots| * (2*x_max // (4m) + 1) * (2*rho + 1), exceed ``_ORACLE_CAP``.
     """
     m, n = abs(m), abs(n)
     if m == 0 or n == 0:
         raise DomainError("oracle requires nonzero m and n")
     if (entry_bound is not None and entry_bound < 0) or slack < 0:
         raise DomainError("oracle entry_bound and slack must be nonnegative")
+    if 4 * (m + n) > _ORACLE_CAP:
+        raise RangeError(f"oracle scans 4(m + n) = {4 * (m + n):,} residues, over {_ORACLE_CAP:,}")
     R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
     roots = _slice_roots(D, m, n)
-    chains = list(_slice_enumerate(D, m, n, R, slack, roots))
-    index_of = {chain[0]: i for i, chain in enumerate(chains)}
-    parent = list(range(len(chains)))
-    deferred = []
-    for i, ((a, b, _, d, e, f, g, h), _, (c_lo, c_hi), (o_lo, o_hi)) in enumerate(chains):
-        # k = +1 of the second shear keeps e; of the first, e + a is reduced mod g
-        q1 = (e + a) // g
-        for image, q in (((a, b + a, 0, d, e, f + e, g, h + g), 0),
-                         ((a, b - q1 * d, 0, d, e + a - q1 * g, f + b - q1 * (h + d), g, h + d), q1)):
-            j = index_of.get(image)
-            if j is None:
-                continue
-            _, _, (c_lo2, c_hi2), (o_lo2, o_hi2) = chains[j]
-            if max(c_lo, c_lo2 - q) <= min(c_hi, c_hi2 - q):
-                parent[_find(parent, i)] = _find(parent, j)
-            elif max(o_lo, o_lo2 - q) <= min(o_hi, o_hi2 - q):
-                deferred.append((i, j))
-    inner = [i for i, chain in enumerate(chains) if chain[1][0] <= chain[1][1]]
-    count = len({_find(parent, i) for i in inner})
-    for i, j in deferred:
-        parent[_find(parent, i)] = _find(parent, j)
-    count_wider = len({_find(parent, i) for i in inner})
+    rho = R + slack + 1
+    steps = sum(len(roots) * (2 * rho * (m // a + n // a + a) // (4 * m) + 1) * (2 * rho + 1)
+                for a in divisors(math.gcd(m, n)) if max(a, m // a, n // a) <= rho)
+    if steps > _ORACLE_CAP:
+        raise RangeError(f"oracle box needs about {steps:,} (x, h) steps, over {_ORACLE_CAP:,}")
+    count = count_wider = enumerated = 0
+    for a, d, g, index, spans in _slice_enumerate(D, m, n, R, slack, roots):
+        parent, deferred = list(range(len(spans))), []
+        for i, (x, h, e) in enumerate(index):
+            _, _, c_lo, c_hi, o_lo, o_hi = spans[i]
+            q1, e1 = divmod(e + a, g)
+            for j, q in ((index.get((x, h + g, e)), 0), (index.get((x - 2 * m, h + d, e1)), q1)):
+                if j is None:
+                    continue
+                _, _, c2_lo, c2_hi, o2_lo, o2_hi = spans[j]
+                if c_lo <= c_hi and c2_lo <= c2_hi and c_lo + q <= c2_hi and c2_lo <= c_hi + q:
+                    parent[_find(parent, i)] = _find(parent, j)
+                elif o_lo + q <= o2_hi and o2_lo <= o_hi + q:
+                    deferred.append((i, j))
+        inner = [i for i, span in enumerate(spans) if span[0] <= span[1]]
+        count += len({_find(parent, i) for i in inner})
+        for i, j in deferred:
+            parent[_find(parent, i)] = _find(parent, j)
+        count_wider += len({_find(parent, i) for i in inner})
+        enumerated += sum(hi - lo + 1 for *_, lo, hi in spans)
     # the two sign flips and negation make eight copies of each enumerated cube
-    enumerated = 8 * sum(hi - lo + 1 for _, _, _, (lo, hi) in chains)
-    return OracleCount(4 * count, count == count_wider and (bool(inner) or not roots),
-                       R, slack, enumerated)
+    return OracleCount(4 * count, count == count_wider and (count > 0 or not roots),
+                       R, slack, 8 * enumerated)

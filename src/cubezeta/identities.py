@@ -84,6 +84,8 @@ def convolve(F: Coeffs, G: Coeffs) -> Coeffs:
     M = len(F) - 1
     if len(G) - 1 != M:
         raise DomainError("coefficient arrays must share a cutoff")
+    if F.count(0) < G.count(0):
+        F, G = G, F  # the product commutes; the outer loop skips the zeros of F
     out = coeffs_zero(M)
     for d in range(1, M + 1):
         fd = F[d]

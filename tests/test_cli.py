@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,9 @@ def test_oracle_sweep_rejects_bad_ranges_with_exit_2():
         proc = oracle_sweep(flag, value)
         assert proc.returncode == 2 and proc.stdout == "", flag
         assert f"error: {flag} must be" in proc.stderr, flag
+    proc = oracle_sweep("--Dmax", "5", "--Mmax", "1", "--entry-bound", "100000")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: D=-4 m=1 n=1: oracle box needs about ")
     proc = oracle_sweep("--Dmax", "5", "--Mmax", "1")
     assert proc.returncode == 0
     assert proc.stdout.startswith("5 cells, 0 mismatches, 0 unstable, 74144 cubes enumerated, ")
@@ -381,6 +385,17 @@ def test_range_commands_reject_a_negative_box(capsys, command, flag, empty):
     assert run(capsys, *command, flag, "-3") == (2, "", error)
     # a zero bound is an empty box, not an error
     assert run(capsys, *command, flag, "0") == (0, empty, "")
+
+
+@pytest.mark.parametrize("D, m", [("-999999", "1"), ("-4", "1000000000000")])
+def test_oracle_above_its_work_cap_exits_2_at_once(D, m):
+    start = time.perf_counter()
+    proc = python_with_src("-m", "cubezeta.cli", "orbits", "--D", D, "--m", m, "--n", "1",
+                           "--oracle")
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: oracle ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubezeta.congruence import sqrt_count_direct
+from cubezeta.congruence import RangeError, sqrt_count_direct
 from cubezeta.cube import (
     BinaryQuadraticForm,
     Cube,
@@ -205,9 +205,29 @@ def literal_slice_scan(D, m, n, R):
     return found
 
 
+def chain_records(D, m, n, R, slack):
+    """(rep, inner, core, outer, key) of each chain of ``_slice_enumerate``.
+
+    The representative (a, b, 0, d, e, f, g, h) is rebuilt from the key
+    (x, h, e): b = (x + a*h + d*e) / g and f = (e*h - (x*x - D) / (4m)) / g,
+    both divisions exact.
+    """
+    records = []
+    for a, d, g, index, spans in _slice_enumerate(D, m, n, R, slack, _slice_roots(D, m, n)):
+        for (x, h, e), i in index.items():
+            b, rb = divmod(x + a * h + d * e, g)
+            s, rs = divmod(x * x - D, 4 * m)
+            f, rf = divmod(e * h - s, g)
+            assert rb == rs == rf == 0, (a, x, h, e)
+            i_lo, i_hi, c_lo, c_hi, o_lo, o_hi = spans[i]
+            rep = (a, b, 0, d, e, f, g, h)
+            records.append((rep, (i_lo, i_hi), (c_lo, c_hi), (o_lo, o_hi), (x, h, e)))
+    return records
+
+
 def expand(chain, k_range=None):
     """The cubes rep + k*(0, d, 0, 0, g, h, 0, 0) of a chain, for k in its outer interval."""
-    (a, b, _, d, e, f, g, h), _, _, (lo, hi) = chain
+    (a, b, _, d, e, f, g, h), _, _, (lo, hi), _ = chain
     ks = range(lo, hi + 1) if k_range is None else k_range
     return [(a, b + k * d, 0, d, e + k * g, f + k * h, g, h) for k in ks]
 
@@ -223,7 +243,7 @@ def test_slice_enumeration_is_complete_in_small_boxes():
     boxes = ((5, 1, 1, 3), (45, 3, 3, 4), (-4, 1, 1, 3), (12, 2, 1, 3), (5, 1, 2, 3))
     for D, m, n, R in boxes:
         # radii R - 2, R - 1 and R for the inner, core and outer intervals
-        chains = list(_slice_enumerate(D, m, n, R - 2, 1, _slice_roots(D, m, n)))
+        chains = chain_records(D, m, n, R - 2, 1)
         produced = with_sign_flips(c for chain in chains for c in expand(chain))
         # every cube of the a > 0 half lies in exactly one chain (or one flip of it)
         assert len(set(produced)) == len(produced), (D, m, n, R)
@@ -232,7 +252,7 @@ def test_slice_enumeration_is_complete_in_small_boxes():
         assert literal == {tuple(-v for v in c) for c in literal}, (D, m, n, R)
         assert set(produced) == {c for c in literal if c[0] > 0}, (D, m, n, R)
         for chain in chains:
-            (a, _, _, d, e, _, g, _), *spans = chain
+            (a, _, _, d, e, _, g, _), *spans, _ = chain
             assert a > 0 and d > 0 and 0 <= e < g, chain
             # each interval is exactly the k whose cube has all entries <= its radius
             window = range(spans[2][0] - 3 * R, spans[2][1] + 3 * R + 1)
@@ -246,6 +266,33 @@ def test_slice_enumeration_is_complete_in_small_boxes():
     assert (result.count, result.cubes_enumerated) == (0, 0)
 
 
+def test_chain_keys_follow_the_group_action():
+    """The oracle's neighbour keys and offsets, written as it takes them, against ``act``."""
+    boxes = ((5, 1, 1, 3), (45, 3, 3, 4), (-4, 1, 1, 3), (12, 2, 1, 3), (5, 1, 2, 3))
+    checked = 0
+    for D, m, n, R in boxes:
+        for rep, *_, (lo, hi), (x, h, e) in chain_records(D, m, n, R - 2, 1):
+            a, _, _, d, _, _, g, _ = rep
+            A = Cube(*rep)
+            assert form1(A).b == x
+            q1, e1 = divmod(e + a, g)
+            # the second shear keeps e; after the first, the third shear by -q
+            # brings e back into [0, g)
+            image = act(shear1(1), A)
+            q = image.e // g
+            moves = ((shear2(1), act(shear2(1), A), 0, (x, h + g, e), 0),
+                     (shear1(1), act(sl2(1, -q, 0, 1), image), q, (x - 2 * m, h + d, e1), q1))
+            for move, moved, offset, key, oracle_offset in moves:
+                assert 0 <= moved.e < g, (rep, moved)
+                assert ((form1(moved).b, moved.h, moved.e), offset) == (key, oracle_offset)
+                # the move takes the chain's cube at k to the neighbour's cube at k + offset
+                for k in (lo, hi):
+                    at_k = act(sl2(1, k, 0, 1), A)
+                    assert act(move, at_k) == act(sl2(1, k + offset, 0, 1), moved), (rep, k)
+                checked += 1
+    assert checked > 100
+
+
 def tuple_graph_oracle(D, m, n, entry_bound, slack):
     """Reference oracle: 8-tuple cubes, a levelled edge list, one union-find per level.
 
@@ -257,7 +304,7 @@ def tuple_graph_oracle(D, m, n, entry_bound, slack):
     whenever some cube has the invariants, i.e. D is a square mod 4m and 4n.
     """
     R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
-    chains = _slice_enumerate(D, m, n, R, slack, _slice_roots(D, m, n))
+    chains = chain_records(D, m, n, R, slack)
     half = with_sign_flips(c for chain in chains for c in expand(chain))
     # the set makes cubes_enumerated differ from the oracle's if a cube repeats
     cubes = sorted(set(half) | {tuple(-v for v in c) for c in half})
@@ -322,6 +369,20 @@ def test_oracle_rejects_negative_box():
             orbit_count_oracle(9, 1, 1, entry_bound=entry_bound, slack=slack)
 
 
+def test_oracle_caps_its_work_before_enumerating():
+    # 4 (m + n) residues to scan, then the (x, h) steps of the box
+    with pytest.raises(RangeError, match="4,000,000,000,004 residues"):
+        orbit_count_oracle(-4, 10**12, 1)
+    with pytest.raises(RangeError, match="about 37,878,450 "):
+        orbit_count_oracle(-9999, 1, 1)
+    with pytest.raises(RangeError, match="about 375,037,750,950 "):
+        orbit_count_oracle(-999999, 1, 1)
+    with pytest.raises(RangeError):
+        orbit_count_oracle(5, 1, 1, entry_bound=10**9)
+    # the largest estimate on the |D| <= 200, m <= n <= 10 sweep (122,122 steps)
+    assert orbit_count_oracle(200, 1, 10).stable
+
+
 def test_oracle_matches_formula_on_sample_cells():
     for D, m, n in ((5, 1, 1), (45, 3, 3), (-4, 1, 1), (9, 3, 3), (-23, 2, 3)):
         res = orbit_count_oracle(D, m, n)
@@ -345,6 +406,10 @@ def test_oracle_frozen_counts():
         (-15, 1, 1, 2, 1): (8, False, 2, 1, 800),
         (9, 1, 1, 1, 0): (24, False, 1, 0, 432),
         (-4, 1, 1, 0, 5): (0, False, 0, 5, 2760),
+        # components that merge only far out: at slack 10 (-188, 9, 9) counts 16 = B.
+        # Oracle step (d), a stricter stability flag, will turn these two to False.
+        (-188, 9, 9, None, 5): (32, True, 28, 5, 30480),
+        (-188, 6, 8, 60, 5): (72, True, 60, 5, 519520),
     }
     for (D, m, n, entry_bound, slack), fields in frozen.items():
         assert orbit_count_oracle(D, m, n, entry_bound, slack) == OracleCount(*fields), (D, m, n)

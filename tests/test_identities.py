@@ -130,6 +130,16 @@ def test_convolve_commutative(f, g):
 
 
 @settings(max_examples=60)
+@given(f=coeff_arrays, g=coeff_arrays)
+def test_convolve_is_the_divisor_sum_whichever_array_is_sparser(f, g):
+    sparse = [v if n & (n - 1) == 0 else 0 for n, v in enumerate(g)]  # powers of 2 only
+    for F, G in ((f, g), (f, sparse), (sparse, f)):
+        want = [0] + [sum(F[d] * G[n // d] for d in range(1, n + 1) if n % d == 0)
+                      for n in range(1, M_SMALL + 1)]
+        assert convolve(F, G) == want
+
+
+@settings(max_examples=60)
 @given(f=coeff_arrays, g=coeff_arrays, h=coeff_arrays)
 def test_convolve_associative(f, g, h):
     assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
