@@ -22,9 +22,9 @@ turns one lower shear into its inverse and commutes with the other moves.
 All three keep D, |m|, |n| and every |entry|, so only the part with
 a, d, g > 0 is enumerated and each of its components stands for four orbits.
 The third shear (b, e, f) += k*(d, g, h) commutes with both lower shears,
-so the enumeration yields its orbits (chains), each named by three integers
-with the run of k that lies in a box, and union-find runs over chains.  The
-oracle applies these moves to the names by formulas of its own: they are its
+so the enumeration yields its orbits (chains), each named by (x, h, e) with
+the run of k in each box, and union-find runs over chains, one forest per
+divisor a.  The oracle moves these names by formulas of its own: they are its
 hot loop.  One pass counts the components meeting the inner box twice: with
 the edges inside the box of radius entry_bound + slack, and again after the
 deferred edges touching the outer shell (radius entry_bound + slack + 1).
