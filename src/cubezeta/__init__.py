@@ -35,7 +35,7 @@ _EXPORTS = {
     "cube": (
         "BinaryQuadraticForm", "Cube", "GroupElement", "act", "act_word", "discriminant",
         "forms", "invariants", "is_semistable", "orbit_count_oracle", "shear1", "shear2",
-        "sl2", "stabilizer_trivial",
+        "sl2",
     ),
     "identities": (
         "IdentityReport", "convolve", "convolve_bi", "convolve_many", "partial_sum",

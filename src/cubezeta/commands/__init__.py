@@ -36,23 +36,28 @@ def _map_ordered(fn, items, threads: int):
     """Yield fn(*item) over items in order; a process pool when threads > 1.
 
     The pool holds at most 2 * threads batches that are submitted but not yet
-    yielded, so finished results cannot pile up while the caller lags.
+    yielded, so finished results cannot pile up while the caller lags.  A
+    worker that dies, as one killed for memory does, is a UsageError.
     """
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         yield from (fn(*item) for item in items)
         return
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     chunk = max(1, len(items) // (threads * 8))
     pending = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, len(items), chunk):
-            pending.append(pool.submit(_run_batch, fn, items[start:start + chunk]))
-            if len(pending) >= 2 * threads:
+    try:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            for start in range(0, len(items), chunk):
+                pending.append(pool.submit(_run_batch, fn, items[start:start + chunk]))
+                if len(pending) >= 2 * threads:
+                    yield from pending.pop(0).result()
+            while pending:
                 yield from pending.pop(0).result()
-        while pending:
-            yield from pending.pop(0).result()
+    except BrokenProcessPool as exc:
+        raise UsageError("a worker process died, perhaps killed for lack of memory") from exc
 
 
 def _write(texts, output) -> None:

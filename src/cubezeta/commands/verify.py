@@ -14,6 +14,13 @@ _RANGE_MINIMA = {"Dmax": 1, "M": 1, "kmax": 0, "amax": 1, "T": 1}
 
 _CELL_FLAGS = ("D", "a1", "a2")
 
+# The cost model of --M: one instance of a check holds about M**e entries, e
+# its exponent here (series to M, or thm12's M x M grids), and a run above
+# _ENTRY_CAP exits before any work.  At the cap one prop21 instance took 7 s
+# and 190 MB, and one thm12 instance (M = 1000) 3 s and 65 MB (Python 3.11).
+_ENTRY_EXPONENT = {"prop21": 1, "cor24": 1, "prop25": 1, "thm12": 2}
+_ENTRY_CAP = 1_000_000
+
 
 def _odd_integers(Dmax: int) -> list:
     """Odd D with |D| <= Dmax, ascending."""
@@ -94,6 +101,11 @@ def _verify_report(args) -> dict:
         report = verify_thm13(*cell)
         return _aggregate_reports(identity, dict(report.params), [report])
     params = {**defaults, **given}
+    if identity in _ENTRY_EXPONENT:
+        entries = params["M"] ** _ENTRY_EXPONENT[identity]
+        if entries > _ENTRY_CAP:
+            raise UsageError(f"verify {identity} needs about {entries:,} entries "
+                             f"per instance, over {_ENTRY_CAP:,}")
     if verifier is None:  # thm44
         from ..ppart import specialization_check, thm44_check
 

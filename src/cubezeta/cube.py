@@ -8,6 +8,16 @@ pair by (M, N) -> (r M + s N, t M + u N): lower-unipotent shears in factors
 D(A), and the leading coefficients m = ad - bc and n = ag - ce of Q_1, Q_2
 are the two further invariants.
 
+Only the identity fixes a cube with D, m, n != 0, so the Shintani zeta
+function weights every semistable orbit by 1/|Stab| = 1.  The factors
+commute, and each keeps the forms of the other two slicings (it multiplies
+both of their matrices by one unimodular matrix).  A factor-1 shear by k
+takes (M_1, N_1) to (M_1, k M_1 + N_1), so Q_1(u, v) to Q_1(u - kv, v): it
+moves Q_1.b by -2km, so it fixes no cube unless k = 0.  A factor-2 shear
+moves Q_2.b by -2kn.  Then gamma = ((r, s), (t, u)) in factor 3 fixes
+(M_3, N_3) only at gamma = I, as D != 0 makes M_3 and N_3 linearly
+independent (were they dependent, Q_3 would be a multiple of a square).
+
 The orbit oracle counts, by explicit enumeration and union-find, the orbits
 of cubes with given (D, |m|, |n|) -- all four sign classes together -- and
 reports a stability flag (the count is unchanged when the search slack is
@@ -33,7 +43,6 @@ deferred edges touching the outer shell (radius entry_bound + slack + 1).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -191,68 +200,6 @@ def act_word(word, A: Cube) -> Cube:
     for g in word:
         A = act(g, A)
     return A
-
-
-# ---------------------------------------------------------------------------
-# Stabilizer scan
-# ---------------------------------------------------------------------------
-
-_IDENTITY = ((1, 0), (0, 1))
-# (factor, matrix): the shears by +-1 of factors 1 and 2, and of factor 3 the
-# upper shears by +-1 and the rotation S = ((0, -1), (1, 0)) and its inverse
-_WORD_GENERATORS = (
-    (1, ((1, 0), (1, 1))), (1, ((1, 0), (-1, 1))),
-    (2, ((1, 0), (1, 1))), (2, ((1, 0), (-1, 1))),
-    (3, ((1, 1), (0, 1))), (3, ((1, -1), (0, 1))),
-    (3, ((0, -1), (1, 0))), (3, ((0, 1), (-1, 0))),
-)
-
-
-def _mat_mul(m1, m2):
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-@lru_cache(maxsize=None)
-def group_words(max_length: int):
-    """Distinct group elements reachable by generator words up to max_length.
-
-    An element is the triple of its factors' matrices (the three factors
-    commute with each other), a shear by k being ((1, 0), (k, 1)); a word
-    multiplies each generator into its factor's matrix from the left.  The
-    identity is excluded.
-    """
-    frontier = [(_IDENTITY,) * 3]
-    seen = set(frontier)
-    out = []
-    for _ in range(max_length):
-        new_frontier = []
-        for elt in frontier:
-            for i, gen in _WORD_GENERATORS:
-                moved = (*elt[:i - 1], _mat_mul(gen, elt[i - 1]), *elt[i:])
-                if moved not in seen:
-                    seen.add(moved)
-                    new_frontier.append(moved)
-                    out.append(moved)
-        frontier = new_frontier
-    return out
-
-
-def stabilizer_trivial(A: Cube, max_length: int = 4) -> bool:
-    """Check no nonidentity group word up to max_length fixes the cube.
-
-    Semistable cubes have trivial stabilizer in the unipotent-times-SL2
-    group; this scans all distinct elements reachable by short words.
-    """
-    for elt in group_words(max_length):
-        B = A
-        for i, mat in enumerate(elt, 1):
-            if mat != _IDENTITY:
-                B = _act(i, mat, B)
-        if B == A:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

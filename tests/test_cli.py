@@ -598,7 +598,7 @@ def test_modules_are_registered_at_import_and_run_on_first_use():
         "['congruence', 'cube', 'orbits', 'ppart', 'quadring', 'wmds'] "
         "['count', 'moduli', 'pairs', 'ppart', 'verify']",
         "True ['congruence', 'cube', 'orbits', 'ppart', 'quadring', 'wmds']",
-        "74 True",
+        "73 True",
     ]
 
 
@@ -694,11 +694,28 @@ def test_running_out_of_memory_exits_2_with_one_error_line(threads):
     def limit():  # in the child only: 1.5 GB of address space
         resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
 
-    # M = 10^9 asks for an 8 GB list, which the limit refuses before any of it is touched
-    argv = ["verify", "prop21", "--Dmax", "3", "--M", str(10**9), "--threads", threads]
+    # each row of --Mmax 10^9 asks for an 8 GB level vector, which the limit refuses
+    # before any of it is touched; the header is written first
+    argv = ["table", "B", "--Dmax", "3", "--Mmax", str(10**9), "--threads", threads]
     proc = subprocess.run([sys.executable, "-m", "cubezeta.cli", *argv], env=src_env(),
                           capture_output=True, text=True, timeout=60, preexec_fn=limit)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "D,m,n,B\n", "error: out of memory\n")
+
+
+def test_verify_above_its_entry_cap_exits_2_at_once(capsys):
+    # M = 10^9 would ask for an 8 GB list at once
+    start = time.perf_counter()
+    proc = python_with_src("-m", "cubezeta.cli", "verify", "prop21", "--Dmax", "3",
+                           "--M", str(10**9))
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: verify prop21 needs about 1,000,000,000 entries per instance, "
+        "over 1,000,000\n")
+    # thm12 holds M x M grids
+    assert run(capsys, "verify", "thm12", "--Dmax", "3", "--M", "1001") == (
+        2, "", "error: verify thm12 needs about 1,002,001 entries per instance, "
+        "over 1,000,000\n")
 
 
 def test_module_run_of_the_cli_leaves_stderr_clean_under_warnings_as_errors():
@@ -734,6 +751,20 @@ def test_process_pool_keeps_results_in_order():
     assert list(_map_ordered(verify_thm13_scan, scans, 2)) == [
         verify_thm13_scan(*item) for item in scans
     ]
+
+
+def _dying_rows(D: int, Mmax: int) -> str:
+    """A table row worker whose process ends at once, as one killed for memory does."""
+    os._exit(1)
+
+
+def test_a_dead_pool_worker_exits_2_with_one_error_line(monkeypatch, capsys):
+    # two workers, forced past the crossover, each running the dying row worker
+    monkeypatch.setattr(cubezeta.commands.table, "_row_chunk_B", _dying_rows)
+    monkeypatch.setattr(cubezeta.commands.table, "_workers", lambda threads, what, rows: threads)
+    code, out, err = run(capsys, "table", "B", "--Dmax", "8", "--Mmax", "2", "--threads", "2")
+    assert (code, out) == (2, "D,m,n,B\n")
+    assert err == "error: a worker process died, perhaps killed for lack of memory\n"
 
 
 @pytest.mark.parametrize("argv", [

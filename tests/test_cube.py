@@ -1,10 +1,11 @@
 """Cube invariants, the group action, and the orbit-count oracle."""
 
+import math
 import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubezeta.congruence import RangeError, sqrt_count_direct
@@ -23,14 +24,12 @@ from cubezeta.cube import (
     form1,
     form2,
     forms,
-    group_words,
     invariants,
     is_semistable,
     orbit_count_oracle,
     shear1,
     shear2,
     sl2,
-    stabilizer_trivial,
 )
 from cubezeta.orbits import B
 
@@ -151,27 +150,59 @@ def test_records_keep_repr_hash_and_immutability():
 
 
 # ---------------------------------------------------------------------------
-# Stabilizers
+# Stabilizers: the three steps of the lemma in the cube module docstring
 # ---------------------------------------------------------------------------
 
 
-def test_stabilizer_trivial_on_reference_cubes():
-    for vals in ([1, 1, 0, 1, 1, 0, 1, -1], [1, 0, 0, 1, 0, 1, 1, 0],
-                 [1, 2, 0, 3, 2, 1, 1, -1]):
-        A = Cube(*vals)
-        if is_semistable(A):
-            assert stabilizer_trivial(A, max_length=3)
+@st.composite
+def sl2_matrices(draw):
+    """((r, s), (t, u)) of determinant 1: a coprime column (r, t), then s, u solved."""
+    r, t = draw(st.tuples(ks, ks).filter(lambda col: math.gcd(*col) == 1))
+    # r u0 - s0 t = 1; when t = 0, r = +-1
+    u0 = pow(r, -1, abs(t)) if t else r
+    s0 = (r * u0 - 1) // t if t else 0
+    j = draw(ks)
+    return (r, s0 + j * r), (t, u0 + j * t)
 
 
-def test_group_word_counts_and_fixed_cubes():
-    # distinct nonidentity elements of words up to length 2, 3 and 4
-    assert [len(group_words(n)) for n in (2, 3, 4)] == [43, 151, 415]
-    assert stabilizer_trivial(Cube(1, 0, 0, 1, 0, 1, 1, 0), max_length=2)
+def slicing3(A):
+    """(M_3, N_3) = ([[a, e], [b, f]], [[c, g], [d, h]]), each read row by row."""
+    return (A.a, A.e, A.b, A.f), (A.c, A.g, A.d, A.h)
+
+
+@settings(max_examples=300)
+@given(cubes, ks, ks, sl2_matrices())
+def test_only_the_identity_fixes_a_semistable_cube(A, k1, k2, gamma):
+    assume(is_semistable(A))
+    q1, q2, q3 = forms(A)
+    _, m, n = invariants(A)
+    # a factor-1 shear by k1 takes Q1(u, v) to Q1(u - k1 v, v) and keeps Q2, Q3
+    assert forms(act(shear1(k1), A)) == (
+        (m, q1.b - 2 * k1 * m, q1(-k1, 1)), q2, q3)
+    # a factor-2 shear by k2 does the same to Q2 with n
+    assert forms(act(shear2(k2), A)) == (
+        q1, (n, q2.b - 2 * k2 * n, q2(-k2, 1)), q3)
+    # gamma in factor 3 keeps Q1, Q2 and takes (M3, N3) to (r M3 + s N3, t M3 + u N3),
+    # which is (M3, N3) only at gamma = I, since M3 and N3 are independent
+    (r, s), (t, u) = gamma
+    moved = act(sl2(r, s, t, u), A)
+    M, N = slicing3(A)
+    assert forms(moved)[:2] == (q1, q2)
+    assert slicing3(moved) == (tuple(r * x + s * y for x, y in zip(M, N)),
+                               tuple(t * x + u * y for x, y in zip(M, N)))
+    assert any(M[i] * N[j] - M[j] * N[i] for i in range(4) for j in range(i + 1, 4))
+    # so a nonidentity element moves the cube
+    if (k1, k2, gamma) != (0, 0, ((1, 0), (0, 1))):
+        assert act_word([shear1(k1), shear2(k2), sl2(r, s, t, u)], A) != A
+
+
+def test_cubes_off_the_semistable_locus_have_fixed_points():
     # every element fixes the zero cube; shear1 fixes a zero front face and
-    # shear2 a zero left face
-    for A in (Cube(0, 0, 0, 0, 0, 0, 0, 0), Cube(0, 0, 0, 0, 1, 2, 3, 4),
-              Cube(0, 1, 0, 2, 0, 3, 0, 4)):
-        assert not stabilizer_trivial(A, max_length=2), A
+    # shear2 a zero left face; all three invariants vanish on each
+    for A, g in ((Cube(0, 0, 0, 0, 0, 0, 0, 0), sl2(0, -1, 1, 0)),
+                 (Cube(0, 0, 0, 0, 1, 2, 3, 4), shear1(1)),
+                 (Cube(0, 1, 0, 2, 0, 3, 0, 4), shear2(1))):
+        assert invariants(A) == (0, 0, 0) and act(g, A) == A, A
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +438,8 @@ def test_oracle_frozen_counts():
         (9, 1, 1, 1, 0): (24, False, 1, 0, 432),
         (-4, 1, 1, 0, 5): (0, False, 0, 5, 2760),
         # components that merge only far out: at slack 10 (-188, 9, 9) counts 16 = B.
-        # Oracle step (d), a stricter stability flag, will turn these two to False.
+        # The canonical orbit forms for D < 0 (ROADMAP) count 16 and 64 = B here,
+        # and will re-record these two cells with stable = False.
         (-188, 9, 9, None, 5): (32, True, 28, 5, 30480),
         (-188, 6, 8, 60, 5): (72, True, 60, 5, 519520),
     }

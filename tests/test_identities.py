@@ -123,17 +123,11 @@ def test_verifiers_reject_a_cutoff_below_one(verify, M):
         verify(5, M)
 
 
-@settings(max_examples=100)
-@given(f=coeff_arrays, g=coeff_arrays)
-def test_convolve_commutative(f, g):
-    assert convolve(f, g) == convolve(g, f)
-
-
 @settings(max_examples=60)
 @given(f=coeff_arrays, g=coeff_arrays)
 def test_convolve_is_the_divisor_sum_whichever_array_is_sparser(f, g):
     sparse = [v if n & (n - 1) == 0 else 0 for n, v in enumerate(g)]  # powers of 2 only
-    for F, G in ((f, g), (f, sparse), (sparse, f)):
+    for F, G in ((f, g), (g, f), (f, sparse), (sparse, f)):
         want = [0] + [sum(F[d] * G[n // d] for d in range(1, n + 1) if n % d == 0)
                       for n in range(1, M_SMALL + 1)]
         assert convolve(F, G) == want
