@@ -123,6 +123,12 @@ def test_verifiers_reject_a_cutoff_below_one(verify, M):
         verify(5, M)
 
 
+@settings(max_examples=100)
+@given(f=coeff_arrays, g=coeff_arrays)
+def test_convolve_commutative(f, g):
+    assert convolve(f, g) == convolve(g, f)
+
+
 @settings(max_examples=60)
 @given(f=coeff_arrays, g=coeff_arrays)
 def test_convolve_is_the_divisor_sum_whichever_array_is_sparser(f, g):
