@@ -11,6 +11,7 @@ a second time, with a second ``UsageError`` that ``main`` does not catch.
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 
@@ -23,35 +24,48 @@ class UsageError(Exception):
     pass
 
 
-def _discriminants(Dmax: int) -> list:
-    """Nonzero D = 0, 1 mod 4 with |D| <= Dmax, ascending."""
-    return [D for D in range(-Dmax, Dmax + 1) if D and D % 4 in (0, 1)]
+def _discriminants(Dmax: int):
+    """Nonzero D = 0, 1 mod 4 with |D| <= Dmax, ascending, one at a time."""
+    return (D for D in range(-Dmax, Dmax + 1) if D and D % 4 in (0, 1))
+
+
+def _discriminant_count(Dmax: int) -> int:
+    """How many D ``_discriminants(Dmax)`` yields: D = 4k, and D = 4k + 1 on either side of 0."""
+    return 2 * (Dmax // 4) + (Dmax + 3) // 4 + (Dmax + 1) // 4
+
+
+# The most items in one batch of the pool: a batch's results are held at once,
+# and a table row item is Mmax**2 rows.
+_BATCH_CAP = 64
 
 
 def _run_batch(fn, batch: list) -> list:
     return [fn(*item) for item in batch]
 
 
-def _map_ordered(fn, items, threads: int):
-    """Yield fn(*item) over items in order; a process pool when threads > 1.
+def _map_ordered(fn, items, threads: int, count: int):
+    """Yield fn(*item) over the count items of the iterable items, in order.
 
-    The pool holds at most 2 * threads batches that are submitted but not yet
-    yielded, so finished results cannot pile up while the caller lags.  A
-    worker that dies, as one killed for memory does, is a UsageError.
+    A process pool runs them when threads > 1 and count > 1, in batches of
+    count / (8 * threads) items, at most _BATCH_CAP.  Items are read as
+    batches are submitted, and the pool holds at most 2 * threads batches
+    that are submitted but not yet yielded, so neither the items nor
+    finished results pile up while the caller lags.  A worker that dies, as
+    one killed for memory does, is a UsageError.
     """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    if threads <= 1 or count <= 1:
         yield from (fn(*item) for item in items)
         return
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    chunk = max(1, len(items) // (threads * 8))
+    chunk = min(max(1, count // (threads * 8)), _BATCH_CAP)
+    items = iter(items)
     pending = []
     try:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for start in range(0, len(items), chunk):
-                pending.append(pool.submit(_run_batch, fn, items[start:start + chunk]))
+            while batch := list(itertools.islice(items, chunk)):
+                pending.append(pool.submit(_run_batch, fn, batch))
                 if len(pending) >= 2 * threads:
                     yield from pending.pop(0).result()
             while pending:

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import importlib
-import itertools
 
-from . import _box, _discriminants, _map_ordered, _write
+from . import _box, _discriminant_count, _discriminants, _map_ordered, _write
 
 # The fewest rows of each kind of table that repay a process pool (see ``_workers``).
 _TABLE_CROSSOVER = {"B": 1_500_000, "a3": 800_000}
@@ -77,8 +76,10 @@ def run(args) -> int:
     header = "D,m,n,B" if args.what == "B" else "D,m,n,a,chi_m,chi_n"
     # run the worker's module before a pool forks, so that no worker compiles it again
     importlib.import_module(f"cubezeta.{module}")
-    items = [(D, Mmax) for D in _discriminants(Dmax)]
-    threads = _workers(args.threads, args.what, len(items) * Mmax * Mmax)
-    chunks = _map_ordered(worker, items, threads)
-    _write(itertools.chain([header + "\n"], chunks), args.output)
+    _write([header + "\n"], args.output)
+    # the discriminants are generated as their rows are written, so a large box streams
+    count = _discriminant_count(Dmax)
+    threads = _workers(args.threads, args.what, count * Mmax * Mmax)
+    items = ((D, Mmax) for D in _discriminants(Dmax))
+    _write(_map_ordered(worker, items, threads, count), args.output)
     return 0

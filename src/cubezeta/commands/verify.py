@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib
 import json
 
-from . import IDENTITIES, UsageError, _discriminants, _emit, _map_ordered
+from . import IDENTITIES, UsageError, _discriminant_count, _discriminants, _emit, _map_ordered
 
 SCHEMA = 1
 
@@ -14,17 +14,26 @@ _RANGE_MINIMA = {"Dmax": 1, "M": 1, "kmax": 0, "amax": 1, "T": 1}
 
 _CELL_FLAGS = ("D", "a1", "a2")
 
-# The cost model of --M: one instance of a check holds about M**e entries, e
-# its exponent here (series to M, or thm12's M x M grids), and a run above
-# _ENTRY_CAP exits before any work.  At the cap one prop21 instance took 7 s
-# and 190 MB, and one thm12 instance (M = 1000) 3 s and 65 MB (Python 3.11).
-_ENTRY_EXPONENT = {"prop21": 1, "cor24": 1, "prop25": 1, "thm12": 2}
+# The cost model of verify: one instance of a check holds about size**e
+# entries, size the range flag that _CHECKS names for it and e its exponent
+# there (series to M, M x M or amax x amax grids, thm44's kmax**4 polynomial
+# coefficients, siegel's T x T polynomial products).  An instance above
+# _ENTRY_CAP, or a run above _RUN_CAP, exits before any work.  A run counts
+# its instances by arithmetic from --Dmax, each with _INSTANCE_ENTRIES more
+# for the work it does whatever its size.  Measured on a 2-core host under
+# Python 3.11: at the instance cap one prop21 instance took 7 s and 190 MB,
+# and two thm12 instances (M = 1000) 0.1 s and 22 MB.  Just under the run cap
+# prop21 took 21 s at M = 200 (--Dmax 43000) and 12 s and 233 MB at M = 1
+# (--Dmax 300000), thm13 8 s, prop25 7 s, siegel 1.5 s and thm44 1.9 s.
 _ENTRY_CAP = 1_000_000
+_RUN_CAP = 10_000_000
+_INSTANCE_ENTRIES = 32
+_SIEGEL_TOP = 62  # verify_siegel lowers T so that no modulus it reads reaches 2**63
 
 
-def _odd_integers(Dmax: int) -> list:
-    """Odd D with |D| <= Dmax, ascending."""
-    return [D for D in range(-Dmax, Dmax + 1) if D % 2]
+def _odd_integers(Dmax: int):
+    """Odd D with |D| <= Dmax, ascending, as a range."""
+    return range(-Dmax + (Dmax + 1) % 2, Dmax + 1, 2)
 
 
 def _siegel_cells(Dmax: int) -> list:
@@ -39,20 +48,45 @@ def _siegel_cells(Dmax: int) -> list:
 
 
 # identity: (the range flags it reads with their defaults, its verifier as
-# "module.function", its instances for --Dmax, the flag passed as its size);
-# an instance is the verifier's first argument, or a tuple of its first ones.
-# The verifier is looked up when the check runs, so only its module loads.
-# thm44 runs its two checks itself (see ``_verify_report``).  The rows are
-# in the order of ``IDENTITIES``.
+# "module.function", its instances for --Dmax, the flag passed as its size,
+# the exponent of that size in the cost model); an instance is the
+# verifier's first argument, or a tuple of its first ones.  The verifier is
+# looked up when the check runs, so only its module loads.  thm44 runs its
+# two checks itself (see ``_verify_report``).  The rows are in the order of
+# ``IDENTITIES``.
 _CHECKS = dict(zip(IDENTITIES, [
-    ({"Dmax": 200, "M": 200}, "identities.verify_prop21", _discriminants, "M"),
-    ({"Dmax": 200, "M": 200}, "identities.verify_cor24", _discriminants, "M"),
-    ({"Dmax": 297, "M": 100}, "identities.verify_prop25", _odd_integers, "M"),
-    ({"Dmax": 297, "M": 64}, "identities.verify_thm12", _odd_integers, "M"),
-    ({"kmax": 8}, None, None, None),
-    ({"Dmax": 500, "amax": 30}, "quadring.verify_thm13_scan", _discriminants, "amax"),
-    ({"Dmax": 200, "T": 12}, "identities.verify_siegel", _siegel_cells, "T"),
+    ({"Dmax": 200, "M": 200}, "identities.verify_prop21", _discriminants, "M", 1),
+    ({"Dmax": 200, "M": 200}, "identities.verify_cor24", _discriminants, "M", 1),
+    ({"Dmax": 297, "M": 100}, "identities.verify_prop25", _odd_integers, "M", 1),
+    ({"Dmax": 297, "M": 64}, "identities.verify_thm12", _odd_integers, "M", 2),
+    ({"kmax": 8}, None, None, "kmax", 4),
+    ({"Dmax": 500, "amax": 30}, "quadring.verify_thm13_scan", _discriminants, "amax", 2),
+    ({"Dmax": 200, "T": 12}, "identities.verify_siegel", _siegel_cells, "T", 2),
 ], strict=True))
+
+
+def _check_cost(identity: str, params: dict) -> None:
+    """UsageError with the estimate when an instance or the run is over its cap.
+
+    The instances are counted, not listed: thm44 has one, and siegel counts
+    one per discriminant, though it checks three primes or more for each.
+    """
+    _, _, instances, size, exponent = _CHECKS[identity]
+    value = min(params[size], _SIEGEL_TOP) if identity == "siegel" else params[size]
+    entries = value**exponent
+    if entries > _ENTRY_CAP:
+        raise UsageError(f"verify {identity} needs about {entries:,} entries "
+                         f"per instance, over {_ENTRY_CAP:,}")
+    if instances is None:
+        count = 1
+    elif instances is _odd_integers:
+        count = len(_odd_integers(params["Dmax"]))
+    else:
+        count = _discriminant_count(params["Dmax"])
+    total = count * (entries + _INSTANCE_ENTRIES)
+    if total > _RUN_CAP:
+        raise UsageError(f"verify {identity} needs about {total:,} entries in all, "
+                         f"over {_RUN_CAP:,}")
 
 
 def _aggregate_reports(identity: str, params: dict, reports: list) -> dict:
@@ -78,7 +112,7 @@ def _aggregate_reports(identity: str, params: dict, reports: list) -> dict:
 
 def _verify_report(args) -> dict:
     identity = args.identity
-    defaults, verifier, instances, size = _CHECKS[identity]
+    defaults, verifier, instances, size, _ = _CHECKS[identity]
     given = {
         key: getattr(args, key)
         for key in (*_RANGE_MINIMA, *_CELL_FLAGS)
@@ -101,11 +135,7 @@ def _verify_report(args) -> dict:
         report = verify_thm13(*cell)
         return _aggregate_reports(identity, dict(report.params), [report])
     params = {**defaults, **given}
-    if identity in _ENTRY_EXPONENT:
-        entries = params["M"] ** _ENTRY_EXPONENT[identity]
-        if entries > _ENTRY_CAP:
-            raise UsageError(f"verify {identity} needs about {entries:,} entries "
-                             f"per instance, over {_ENTRY_CAP:,}")
+    _check_cost(identity, params)
     if verifier is None:  # thm44
         from ..ppart import specialization_check, thm44_check
 
@@ -118,7 +148,7 @@ def _verify_report(args) -> dict:
             (*x, params[size]) if isinstance(x, tuple) else (x, params[size])
             for x in instances(params["Dmax"])
         ]
-        reports = list(_map_ordered(check, items, args.threads))
+        reports = list(_map_ordered(check, items, args.threads, len(items)))
     return _aggregate_reports(identity, params, reports)
 
 

@@ -20,12 +20,13 @@ levels d of D1 with a local factor L, sqrt_count(D', 4k) for B, a(D', k) for a3:
     S_L(D, m, n) = sum_{d | gcd(D1, m, n)} d * L(D/d^2, m/d) * L(D/d^2, n/d).
 
 ``level_sum`` sums one cell.  A box m, n <= M is read from one vector
-L_d[m] = L(D/d^2, m/d) (0 unless d | m) per level d <= M: row m is
-sum_d d * L_d[m] * L_d, so rows with equal level values (L_d[m])_d are equal.
-``level_rows`` sums each such row class once, and ``level_grid`` lays the
-classes out as a grid.  Each L is multiplicative in k, so its vector comes
-from its values at prime powers by ``multiplicative_series``;
-``sqrt_count_series`` is that vector for A(d, c k).
+L_d[m] = L(D/d^2, m/d) (0 unless d | m) per level d <= M, which
+``level_vectors`` lists: row m is sum_d d * L_d[m] * L_d, so rows with equal
+level values (L_d[m])_d are equal.  ``row_classes`` sums each such row class
+once, for any list of (d, vector); ``level_rows`` is the two composed, and
+``level_grid`` lays the classes out as a grid.  Each L is multiplicative in
+k, so its vector comes from its values at prime powers by
+``multiplicative_series``; ``sqrt_count_series`` is that vector for A(d, c k).
 """
 
 from __future__ import annotations
@@ -221,12 +222,11 @@ def level_sum(D: int, m: int, n: int, local) -> int:
     return total
 
 
-def level_rows(D: int, M: int, series) -> tuple[list[tuple], dict[tuple, list[int]]]:
-    """The row classes of S_L(D, m, n) for 0 <= m, n <= M; L's vectors from series.
+def level_vectors(D: int, M: int, series) -> list[tuple[int, list[int]]]:
+    """[(d, L_d)] for the levels d | D1 with d <= M; L's vectors from series.
 
-    series(D', K) is [0, L(D', 1), ..., L(D', K)].  Returns keys, with keys[m]
-    the level values (L_d[m])_d of row m, and rows, mapping each key to the
-    row [S_L(D, m, n) for 0 <= n <= M] of every m with that key, summed once.
+    series(D', K) is [0, L(D', 1), ..., L(D', K)], and L_d[m] = L(D/d^2, m/d)
+    when d | m, else 0, for 0 <= m <= M.
     """
     _, d1 = squarefree_split(D)
     levels = []
@@ -236,17 +236,32 @@ def level_rows(D: int, M: int, series) -> tuple[list[tuple], dict[tuple, list[in
         L = [0] * (M + 1)
         L[d::d] = series(D // (d * d), M // d)[1:]
         levels.append((d, L))
-    keys = list(zip(*(L for _, L in levels))) or [()] * (M + 1)  # no level when M < 1
+    return levels
+
+
+def row_classes(levels: list, M: int) -> tuple[list[tuple], dict[tuple, list[int]]]:
+    """The row classes of the grid sum_d d * v_d[m] * v_d[n], 0 <= m, n <= M.
+
+    levels is [(d, v_d)], each v_d of length M + 1.  Returns keys, with
+    keys[m] the values (v_d[m])_d of row m, and rows, mapping each key to
+    the row of every m with that key, summed once.
+    """
+    keys = list(zip(*(v for _, v in levels))) or [()] * (M + 1)  # no level when M < 1
     rows = {}
     for key in keys:
         if key not in rows:
             row = [0] * (M + 1)
-            for (d, L), v in zip(levels, key):
-                if v:
-                    scale = d * v
-                    row = [r + scale * x for r, x in zip(row, L)]
+            for (d, v), x in zip(levels, key):
+                if x:
+                    scale = d * x
+                    row = [r + scale * y for r, y in zip(row, v)]
             rows[key] = row
     return keys, rows
+
+
+def level_rows(D: int, M: int, series) -> tuple[list[tuple], dict[tuple, list[int]]]:
+    """The row classes of S_L(D, m, n) for 0 <= m, n <= M, as ``row_classes``."""
+    return row_classes(level_vectors(D, M, series), M)
 
 
 def level_grid(D: int, M: int, series) -> list[list[int]]:

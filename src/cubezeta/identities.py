@@ -27,7 +27,12 @@ The checks:
 * ``verify_thm12`` -- the bivariate version: the grid B(D, m, n) against the
   double convolution of the twisted rank-3 coefficients by
   (2 - 2*4^{-s}) zeta(s) in each variable; the same missing factor applies
-  per variable and is handled the same way.
+  per variable and is handled the same way.  The twisted grid is a sum over
+  the levels d of a3 of d times an outer product u_d u_d^T, and convolution
+  is bilinear, so the right side is the same sum over the products of the
+  1-D convolutions u_d * f; no M x M grid is convolved.  ``convolve_bi``,
+  which convolves a grid in each variable, stays as the 2-D route that the
+  tests compare against.
 * ``verify_siegel`` -- the closed form of the p-part series
   sum_l A(d, p^l) q^l as a polynomial identity in q, for one prime p.
 
@@ -51,6 +56,7 @@ sum_D sum_{m,n} B(D, m, n) m^{-s1} n^{-s2} |D|^{-w} in floats.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from .congruence import (
@@ -62,13 +68,14 @@ from .congruence import (
     mobius,
     multiplicative_series,
     require_discriminant,
+    row_classes,
     sqrt_count,
     sqrt_count_series,
     valuation,
 )
 from .orbits import b_grid
 from .report import IdentityReport, compare, first_mismatch  # IdentityReport is re-exported
-from .wmds import a3_grid, twisted_series
+from .wmds import a3_levels, twisted_series
 
 Coeffs = list  # c[0] unused; c[1..M] are the coefficients
 
@@ -155,6 +162,12 @@ def _series_zeta2s_inverse(M: int) -> Coeffs:
         out[k * k] = mobius(k)
         k += 1
     return out
+
+
+@lru_cache(maxsize=2)
+def _series_squarefree(M: int) -> tuple[int, ...]:
+    """zeta(s) / zeta(2s): coefficient |mu(n)|, one shared tuple per M."""
+    return tuple(convolve(_series_zeta2s_inverse(M), _series_zeta(M)))
 
 
 def _series_zeta_odd_2s_inverse(M: int) -> Coeffs:
@@ -333,10 +346,7 @@ def verify_prop21(d: int, M: int) -> IdentityReport:
     """
     require_discriminant(d)
     lhs = sqrt_count_series(d, M, 1)
-    base = convolve_many(
-        _series_zeta2s_inverse(M), _series_zeta(M), _series_l_chi(d, M),
-        _odd_part_series(d, M),
-    )
+    base = convolve_many(_series_squarefree(M), _series_l_chi(d, M), _odd_part_series(d, M))
     return _printed_then_corrected(
         "prop21",
         {"d": d, "M": M},
@@ -373,12 +383,7 @@ def verify_cor24(d: int, M: int) -> IdentityReport:
     """
     require_discriminant(d)
     lhs = sqrt_count_series(d, M, 4)
-    rhs = convolve_many(
-        _series_zeta2s_inverse(M),
-        _series_zeta(M),
-        _series_l_chi(d, M),
-        _series_p_prime(d, M),
-    )
+    rhs = convolve_many(_series_squarefree(M), _series_l_chi(d, M), _series_p_prime(d, M))
     mismatch = first_mismatch(lhs, rhs, ("n",))
     status = "mismatch" if mismatch else "known_p2_discrepancy"
     return IdentityReport("cor24", {"d": d, "M": M}, status, mismatch, (_PREFACTOR_NOTE,))
@@ -423,32 +428,55 @@ def verify_prop25(D: int, M: int) -> IdentityReport:
     )
 
 
+def _thm12_right_sides(D: int, M: int) -> tuple[list, list]:
+    """The stated and the damped right side of thm12 for odd D, as grids [m][n].
+
+    Summed from level vectors as ``verify_thm12`` states; the rows of one
+    row class are one list.  Both vanish when D = 3 mod 4.
+    """
+    factor = convolve(_series_p_tilde2(D, M), _series_zeta(M))
+    levels = []
+    if D % 4 == 1:
+        chis = twisted_series(D, M, coefficient=False)
+        levels = [
+            (d, convolve([c * x for c, x in zip(chis, L)], factor)) for d, L in a3_levels(D, M)
+        ]
+
+    def grid(levels: list) -> list:
+        keys, rows = row_classes(levels, M)
+        return [rows[key] for key in keys]
+
+    damp = _series_zeta_odd_2s_inverse(M)
+    return grid(levels), grid([(d, convolve(v, damp)) for d, v in levels])
+
+
 def verify_thm12(D: int, M: int) -> IdentityReport:
     """For odd D: the grid B(D, m, n) against the double convolution of the
-    twisted rank-3 coefficient grid by (2 - 2*4^{-s}) zeta(s) per variable.
+    twisted rank-3 coefficient grid by f = (2 - 2*4^{-s}) zeta(s) per variable.
 
     Inherits the same defect as the single-variable identity, once per
     variable: the stated right side is the grid B convolved with
     zeta_odd(2s) in each variable, so it fails first at (m, n) = (1, 9),
     where it adds B(D, 1, 1) = 4, and damping each variable by
     zeta_odd(2s)^{-1} restores equality.
+
+    No M x M grid is convolved.  The twisted grid chi_m chi_n a3(D, m, n)
+    is sum_d d u_d[m] u_d[n] over the levels d of a3, with u_d = chi L_d
+    (``wmds.a3_levels``), and a convolution in each variable is bilinear.
+    So the stated right side is sum_d d v_d[m] v_d[n] with the 1-D
+    convolution v_d = u_d * f, and the damped one is the same sum over
+    v_d * zeta_odd(2s)^{-1}; each is summed by row classes
+    (``congruence.row_classes``).
     """
     if D == 0 or D % 2 == 0:
         raise DomainError("D must be odd and nonzero")
-    H = [[0] * (M + 1) for _ in range(M + 1)]
-    if D % 4 == 1:
-        chis = twisted_series(D, M, coefficient=False)
-        a3 = a3_grid(D, M)
-        H = [[cm * cn * a for cn, a in zip(chis, row)] for cm, row in zip(chis, a3)]
-    factor = convolve(_series_p_tilde2(D, M), _series_zeta(M))
-    printed = convolve_bi(H, factor, factor)
-    damp = _series_zeta_odd_2s_inverse(M)
+    printed, damped = _thm12_right_sides(D, M)
     return _printed_then_corrected(
         "thm12",
         {"D": D, "M": M},
         b_grid(D, M),
         printed,
-        lambda: convolve_bi(printed, damp, damp),
+        lambda: damped,
         "known_odd_square_discrepancy",
         lambda _: _ODD_SQUARE_NOTE + " (applied once per variable)",
         "damped",

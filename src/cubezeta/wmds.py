@@ -5,8 +5,8 @@ a_pp(p, k, l) = p^(min(k,l)/2) when min(k, l) is even, else 0; the global
 coefficient a(D, m) is the product over primes of a_pp at the valuations of
 |D| and m.  The three-variable coefficient a3(D, m, n) is the divisor-level
 sum of ``congruence`` with local factor a(D', k), the same sum as the orbit
-count B; ``a_coeff3`` computes one cell, ``a3_rows`` the row classes of a
-box and ``a3_grid`` the box.
+count B; ``a_coeff3`` computes one cell, ``a3_levels`` its level vectors,
+``a3_rows`` the row classes of a box and ``a3_grid`` the box.
 
 The twisted coefficient multiplies in the quadratic character of D evaluated
 on the part of m coprime to the squarefree part of D; ``tilde_a`` computes
@@ -27,6 +27,7 @@ from .congruence import (
     level_grid,
     level_rows,
     level_sum,
+    level_vectors,
     multiplicative_series,
     squarefree_split,
     valuation,
@@ -66,6 +67,11 @@ def a_coeff3(D: int, m: int, n: int) -> int:
 def _a_series(dd: int, K: int) -> list[int]:
     """[0, a(dd, 1), ..., a(dd, K)], from the values a_pp at prime powers."""
     return multiplicative_series(K, lambda p, e: a_pp(p, valuation(dd, p), e))
+
+
+def a3_levels(D: int, M: int) -> list[tuple[int, list[int]]]:
+    """[(d, L_d)] of a3(D, m, n), 0 <= m <= M, as ``congruence.level_vectors``."""
+    return level_vectors(D, M, _a_series)
 
 
 def a3_rows(D: int, M: int) -> tuple[list[tuple], dict[tuple, list[int]]]:

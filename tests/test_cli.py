@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import cubezeta
 import cubezeta.commands.verify
 from cubezeta.cli import main
-from cubezeta.commands import _discriminants, _map_ordered
+from cubezeta.commands import _discriminant_count, _discriminants, _map_ordered
 from cubezeta.commands.table import _TABLE_CROSSOVER, _row_chunk_B, _row_chunk_a3, _workers
-from cubezeta.commands.verify import _aggregate_reports
+from cubezeta.commands.verify import _CHECKS, _aggregate_reports, _check_cost, _odd_integers
 import cubezeta.identities
 import cubezeta.ppart
 from cubezeta.congruence import chi, hat, sqrt_count
@@ -463,9 +463,9 @@ def test_a_product_of_a_billion_rows_streams_to_a_closed_stdout(argv, first):
 def pooled_box(what: str, Mmax: int) -> tuple[str, str, int]:
     """(Dmax, Mmax, rows): the least Dmax whose table starts a pool at --threads 2."""
     Dmax = _TABLE_CROSSOVER[what] // (Mmax * Mmax) - 2  # |D| <= Dmax holds about Dmax
-    while _workers(2, what, len(_discriminants(Dmax)) * Mmax * Mmax) == 1:
+    while _workers(2, what, _discriminant_count(Dmax) * Mmax * Mmax) == 1:
         Dmax += 1
-    return str(Dmax), str(Mmax), len(_discriminants(Dmax)) * Mmax * Mmax
+    return str(Dmax), str(Mmax), _discriminant_count(Dmax) * Mmax * Mmax
 
 
 def test_thread_count_does_not_change_output(capsys):
@@ -496,10 +496,10 @@ def test_table_runs_its_row_module_before_the_pool_starts(what, module):
         "from cubezeta import cli\n"
         "from cubezeta.commands import table\n"
         "real = table._map_ordered\n"
-        "def spy(fn, items, threads):  # where the pool would fork its workers\n"
+        "def spy(fn, items, threads, count):  # where the pool would fork its workers\n"
         f"    lazy = type(sys.modules['cubezeta.{module}']) is not types.ModuleType\n"
         "    print('lazy' if lazy else 'run', file=sys.stderr)\n"
-        "    return real(fn, items, threads)\n"
+        "    return real(fn, items, threads, count)\n"
         "table._map_ordered = spy\n"
         f"argv = ['table', '{what}', '--Dmax', '4', '--Mmax', '2', '--output', os.devnull]\n"
         "assert cli.main(argv) == 0\n"
@@ -718,6 +718,57 @@ def test_verify_above_its_entry_cap_exits_2_at_once(capsys):
         "over 1,000,000\n")
 
 
+@pytest.mark.parametrize("argv, estimate", [
+    (("thm13", "--Dmax", "100000000"), "93,200,000,000 entries in all"),
+    (("prop21", "--Dmax", "100000000"), "23,200,000,000 entries in all"),
+    (("thm12", "--Dmax", "9", "--M", "1000"), "10,000,320 entries in all"),
+    (("siegel", "--Dmax", "2580", "--T", str(10**9)), "10,000,080 entries in all"),
+    (("thm44", "--kmax", "32"), "1,048,576 entries per instance"),
+    (("thm13", "--Dmax", "1", "--amax", "1001"), "1,002,001 entries per instance"),
+], ids=["thm13-Dmax", "prop21-Dmax", "thm12-Dmax-M", "siegel-Dmax-T", "thm44-kmax",
+        "thm13-amax"])
+def test_verify_above_its_run_cap_exits_2_at_once(argv, estimate):
+    start = time.perf_counter()
+    proc = python_with_src("-m", "cubezeta.cli", "verify", *argv, "--threads", "1")
+    assert time.perf_counter() - start < 1
+    cap = "10,000,000" if estimate.endswith("in all") else "1,000,000"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: verify {argv[0]} needs about {estimate}, over {cap}\n")
+
+
+def test_default_benchmark_and_edge_verify_ranges_are_under_the_caps():
+    ranges = [("thm12", {"Dmax": 150, "M": 40}), ("thm13", {"Dmax": 150, "amax": 20}),
+              ("prop21", {"Dmax": 300000, "M": 1}), ("siegel", {"Dmax": 2579, "T": 10**9}),
+              ("thm44", {"kmax": 31}), ("thm13", {"Dmax": 1, "amax": 1000})]
+    ranges += [(identity, {}) for identity in _CHECKS]
+    for identity, given in ranges:
+        assert _check_cost(identity, {**_CHECKS[identity][0], **given}) is None, identity
+
+
+def test_instances_are_counted_without_listing_them():
+    for Dmax in range(0, 60):
+        assert _discriminant_count(Dmax) == len(list(_discriminants(Dmax))), Dmax
+        assert list(_odd_integers(Dmax)) == [D for D in range(-Dmax, Dmax + 1) if D % 2], Dmax
+
+
+def test_table_streams_a_box_of_ten_billion_rows():
+    # 10^8 discriminants: the header and the first row come at once, before
+    # any list of the discriminants could be built
+    argv = ["table", "B", "--Dmax", "100000000", "--Mmax", "10", "--threads", "1"]
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "cubezeta.cli", *argv], env=src_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        lines = [proc.stdout.readline(), proc.stdout.readline()]
+        elapsed = time.perf_counter() - start
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    assert lines == ["D,m,n,B\n", "-100000000,1,1,4\n"]
+    assert elapsed < 2
+
+
 def test_module_run_of_the_cli_leaves_stderr_clean_under_warnings_as_errors():
     # runpy warns when the module it runs is in sys.modules before it starts
     proc = python_with_src("-W", "error", "-m", "cubezeta.cli", "count", "A", "--d", "5",
@@ -746,9 +797,11 @@ def test_table_rows_match_pointwise_cells():
 def test_process_pool_keeps_results_in_order():
     # 96 discriminants make 16 batches of 6, more than the 4 held in flight
     table = [(D, 5) for D in _discriminants(96)]
-    assert list(_map_ordered(_row_chunk_B, table, 2)) == [_row_chunk_B(*item) for item in table]
+    assert list(_map_ordered(_row_chunk_B, iter(table), 2, len(table))) == [
+        _row_chunk_B(*item) for item in table
+    ]
     scans = [(D, 4) for D in _discriminants(12)]
-    assert list(_map_ordered(verify_thm13_scan, scans, 2)) == [
+    assert list(_map_ordered(verify_thm13_scan, scans, 2, len(scans))) == [
         verify_thm13_scan(*item) for item in scans
     ]
 

@@ -13,17 +13,22 @@ from cubezeta.congruence import (
     fundamental_discriminant,
     is_discriminant,
     kronecker,
+    mobius,
     sqrt_count,
     sqrt_count_direct,
     sqrt_count_series,
 )
 from cubezeta.identities import (
     _series_l_chi,
+    _series_p_tilde2,
+    _series_squarefree,
     _series_two_factor,
     _series_zeta,
     _series_zeta2s_inverse,
     _series_zeta_odd_2s_inverse,
+    _thm12_right_sides,
     convolve,
+    convolve_bi,
     convolve_many,
     partial_sum,
     verify_cor24,
@@ -33,6 +38,7 @@ from cubezeta.identities import (
     verify_thm12,
 )
 from cubezeta.report import IdentityReport, compare, first_mismatch
+from cubezeta.wmds import a3_grid, twisted_series
 
 M_SMALL = 30
 coeff_arrays = st.lists(
@@ -50,6 +56,13 @@ def test_standard_series_frozen():
     }
     tf = _series_two_factor(32)
     assert {i: v for i, v in enumerate(tf) if v} == {1: 2, 4: -2}
+
+
+def test_squarefree_series_is_one_shared_tuple_per_cutoff():
+    for M in (1, 40, 200):
+        series = _series_squarefree(M)
+        assert isinstance(series, tuple) and series is _series_squarefree(M)
+        assert series == (0, *(mobius(n) ** 2 for n in range(1, M + 1))), M
 
 
 def test_standard_series_l_chi_matches_character():
@@ -204,6 +217,33 @@ def test_thm12_reports_the_odd_square_defect():
         assert report.first_mismatch["n"] == 9
     with pytest.raises(DomainError):
         verify_thm12(-4, 24)
+
+
+def test_thm12_right_sides_from_level_vectors_match_the_grid_convolution():
+    """Both right sides equal convolve_bi on the explicit twisted a3 grid.
+
+    Every odd D with |D| <= 99 at M = 30, and two D with many levels:
+    -675 = -3 * 15^2 and 2025 = 45^2, whose levels d | 15 and d | 45 all
+    lie in the box at M = 48.
+    """
+    cases = [(D, 30) for D in range(-99, 100, 2)] + [(-675, 48), (2025, 48)]
+    for D, M in cases:
+        twisted = [[0] * (M + 1) for _ in range(M + 1)]
+        if D % 4 == 1:
+            chis = twisted_series(D, M, coefficient=False)
+            twisted = [[cm * cn * a for cn, a in zip(chis, row)]
+                       for cm, row in zip(chis, a3_grid(D, M))]
+        factor = convolve(_series_p_tilde2(D, M), _series_zeta(M))
+        damp = _series_zeta_odd_2s_inverse(M)
+        printed = convolve_bi(twisted, factor, factor)
+        assert _thm12_right_sides(D, M) == (printed, convolve_bi(printed, damp, damp)), D
+
+
+@pytest.mark.parametrize("verify", [verify_prop25, verify_thm12])
+def test_odd_checks_reject_a_cutoff_below_one_at_D_3_mod_4(verify):
+    # both sides vanish there, and no level vector is built
+    with pytest.raises(RangeError):
+        verify(-5, 0)
 
 
 def test_partial_sum_deterministic_and_monotone():
