@@ -44,7 +44,8 @@ def _run_batch(fn, batch: list) -> list:
 
 
 def _map_ordered(fn, items, threads: int, count: int):
-    """Yield fn(*item) over the count items of the iterable items, in order.
+    """Yield fn(*item) over the iterable items, in order; count is how many
+    items there are, or fewer (siegel counts three cells per discriminant).
 
     A process pool runs them when threads > 1 and count > 1, in batches of
     count / (8 * threads) items, at most _BATCH_CAP.  Items are read as

@@ -47,9 +47,10 @@ def _rows_text(D: int, Mmax: int, keys: list, cells_of) -> str:
 
 def _row_chunk_B(D: int, Mmax: int) -> str:
     """The table rows of D; each row class of B is summed once and formatted once."""
-    from ..orbits import b_rows
+    from ..congruence import row_classes
+    from ..orbits import b_levels
 
-    keys, rows = b_rows(D, Mmax)
+    keys, rows = row_classes(b_levels(D, Mmax), Mmax)
     # the cells "n,B\n" of one row in one format call: field n is B(D, m, n)
     cells = "".join(f"{n},{{{n}}}\n" for n in range(1, Mmax + 1))
     return _rows_text(D, Mmax, keys, lambda key: cells.format(*rows[key]).splitlines(True))
@@ -57,10 +58,11 @@ def _row_chunk_B(D: int, Mmax: int) -> str:
 
 def _row_chunk_a3(D: int, Mmax: int) -> str:
     """The table rows of D; a row class of a3 with chi(D, m) is formatted once."""
-    from ..wmds import a3_rows, twisted_series
+    from ..congruence import row_classes
+    from ..wmds import a3_levels, twisted_series
 
     chis = twisted_series(D, Mmax, coefficient=False)
-    keys, rows = a3_rows(D, Mmax)
+    keys, rows = row_classes(a3_levels(D, Mmax), Mmax)
     # field n is a3(D, m, n) and field c is chi(D, m); chi(D, n) is written in
     cells = "".join(f"{n},{{{n}}},{{c}},{chis[n]}\n" for n in range(1, Mmax + 1))
 

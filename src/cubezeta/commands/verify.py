@@ -23,7 +23,7 @@ _CELL_FLAGS = ("D", "a1", "a2")
 # for the work it does whatever its size.  Measured on a 2-core host under
 # Python 3.11: at the instance cap one prop21 instance took 7 s and 190 MB,
 # and two thm12 instances (M = 1000) 0.1 s and 22 MB.  Just under the run cap
-# prop21 took 21 s at M = 200 (--Dmax 43000) and 12 s and 233 MB at M = 1
+# prop21 took 21 s at M = 200 (--Dmax 43000) and 9 s and 128 MB at M = 1
 # (--Dmax 300000), thm13 8 s, prop25 7 s, siegel 1.5 s and thm44 1.9 s.
 _ENTRY_CAP = 1_000_000
 _RUN_CAP = 10_000_000
@@ -36,15 +36,13 @@ def _odd_integers(Dmax: int):
     return range(-Dmax + (Dmax + 1) % 2, Dmax + 1, 2)
 
 
-def _siegel_cells(Dmax: int) -> list:
-    """(d, p) for each discriminant |d| <= Dmax and p in {2, 3, 5} or p | d."""
+def _siegel_cells(Dmax: int):
+    """(d, p) for each discriminant |d| <= Dmax and p in {2, 3, 5} or p | d, one at a time."""
     from ..congruence import factorize
 
-    return [
-        (d, p)
-        for d in _discriminants(Dmax)
-        for p in sorted({2, 3, 5} | {p for p, _ in factorize(d).factors})
-    ]
+    for d in _discriminants(Dmax):
+        for p in sorted({2, 3, 5} | {p for p, _ in factorize(d).factors}):
+            yield d, p
 
 
 # identity: (the range flags it reads with their defaults, its verifier as
@@ -65,11 +63,13 @@ _CHECKS = dict(zip(IDENTITIES, [
 ], strict=True))
 
 
-def _check_cost(identity: str, params: dict) -> None:
-    """UsageError with the estimate when an instance or the run is over its cap.
+def _check_cost(identity: str, params: dict) -> int:
+    """The run's instance count; UsageError with the estimate when an
+    instance or the run is over its cap.
 
-    The instances are counted, not listed: thm44 has one, and siegel counts
-    one per discriminant, though it checks three primes or more for each.
+    The instances are counted, not listed: thm44 has one, and siegel's cost
+    counts one per discriminant, but its count three, the fewest primes it
+    checks for each, so that a pool's batches are not cut too small.
     """
     _, _, instances, size, exponent = _CHECKS[identity]
     value = min(params[size], _SIEGEL_TOP) if identity == "siegel" else params[size]
@@ -87,26 +87,33 @@ def _check_cost(identity: str, params: dict) -> None:
     if total > _RUN_CAP:
         raise UsageError(f"verify {identity} needs about {total:,} entries in all, "
                          f"over {_RUN_CAP:,}")
+    return 3 * count if identity == "siegel" else count
 
 
-def _aggregate_reports(identity: str, params: dict, reports: list) -> dict:
-    """The verify JSON of a run's reports: the first mismatch alone gives the
-    instance and findings; else the first report not "equal" gives the
-    instance, and all such reports give their findings, each once.
+def _aggregate_reports(identity: str, params: dict, reports) -> dict:
+    """The verify JSON of reports read once, as they come: the first mismatch
+    alone gives the instance and findings; else the first report not "equal"
+    gives the instance, and all such reports give their findings, each once.
     """
-    flagged = [rep for rep in reports if rep.status != "equal"]
-    failed = [rep for rep in flagged if rep.status == "mismatch"][:1]
-    shown = failed or flagged
+    checked, failed, first, findings = 0, None, None, {}
+    for checked, rep in enumerate(reports, 1):
+        if failed or rep.status == "equal":
+            continue
+        if rep.status == "mismatch":
+            failed, findings = rep, {}
+        first = first or rep
+        findings.update(dict.fromkeys(rep.findings))
+    shown = failed or first
     return {
         "schema": SCHEMA,
         "identity": identity,
         "params": params,
-        "checked": len(reports),
-        "status": "fail" if failed else "pass_with_findings" if flagged else "pass",
+        "checked": checked,
+        "status": "fail" if failed else "pass_with_findings" if first else "pass",
         "first_mismatch": (
-            {"instance": shown[0].params, **(shown[0].first_mismatch or {})} if shown else None
+            {"instance": shown.params, **(shown.first_mismatch or {})} if shown else None
         ),
-        "findings": list(dict.fromkeys(text for rep in shown for text in rep.findings)),
+        "findings": list(findings),
     }
 
 
@@ -135,7 +142,7 @@ def _verify_report(args) -> dict:
         report = verify_thm13(*cell)
         return _aggregate_reports(identity, dict(report.params), [report])
     params = {**defaults, **given}
-    _check_cost(identity, params)
+    count = _check_cost(identity, params)
     if verifier is None:  # thm44
         from ..ppart import specialization_check, thm44_check
 
@@ -144,11 +151,11 @@ def _verify_report(args) -> dict:
     else:
         module, _, name = verifier.partition(".")
         check = getattr(importlib.import_module(f"cubezeta.{module}"), name)
-        items = [
+        items = (
             (*x, params[size]) if isinstance(x, tuple) else (x, params[size])
             for x in instances(params["Dmax"])
-        ]
-        reports = list(_map_ordered(check, items, args.threads, len(items)))
+        )
+        reports = _map_ordered(check, items, args.threads, count)
     return _aggregate_reports(identity, params, reports)
 
 

@@ -23,10 +23,10 @@ levels d of D1 with a local factor L, sqrt_count(D', 4k) for B, a(D', k) for a3:
 L_d[m] = L(D/d^2, m/d) (0 unless d | m) per level d <= M, which
 ``level_vectors`` lists: row m is sum_d d * L_d[m] * L_d, so rows with equal
 level values (L_d[m])_d are equal.  ``row_classes`` sums each such row class
-once, for any list of (d, vector); ``level_rows`` is the two composed, and
-``level_grid`` lays the classes out as a grid.  Each L is multiplicative in
-k, so its vector comes from its values at prime powers by
-``multiplicative_series``; ``sqrt_count_series`` is that vector for A(d, c k).
+once, for any list of (d, vector), and ``level_grid`` lays the classes out
+as a grid.  Each L is multiplicative in k, so its vector comes from its
+values at prime powers by ``multiplicative_series``; ``sqrt_count_series``
+is that vector for A(d, c k).
 """
 
 from __future__ import annotations
@@ -259,18 +259,13 @@ def row_classes(levels: list, M: int) -> tuple[list[tuple], dict[tuple, list[int
     return keys, rows
 
 
-def level_rows(D: int, M: int, series) -> tuple[list[tuple], dict[tuple, list[int]]]:
-    """The row classes of S_L(D, m, n) for 0 <= m, n <= M, as ``row_classes``."""
-    return row_classes(level_vectors(D, M, series), M)
+def level_grid(levels: list, M: int) -> list[list[int]]:
+    """sum_d d * v_d[m] * v_d[n] over levels [(d, v_d)] for 0 <= m, n <= M; index [m][n].
 
-
-def level_grid(D: int, M: int, series) -> list[list[int]]:
-    """S_L(D, m, n) for 1 <= m, n <= M; index [m][n], row and column 0 zero.
-
-    Each row is a list of its own, so an edit to one cell changes no other.
+    The rows of one row class are one list, so copy a row before editing it.
     """
-    keys, rows = level_rows(D, M, series)
-    return [rows[key][:] for key in keys]
+    keys, rows = row_classes(levels, M)
+    return [rows[key] for key in keys]
 
 
 @lru_cache(maxsize=None)

@@ -65,10 +65,10 @@ from .congruence import (
     discriminant_data,
     fundamental_discriminant,
     kronecker,
+    level_grid,
     mobius,
     multiplicative_series,
     require_discriminant,
-    row_classes,
     sqrt_count,
     sqrt_count_series,
     valuation,
@@ -441,13 +441,8 @@ def _thm12_right_sides(D: int, M: int) -> tuple[list, list]:
         levels = [
             (d, convolve([c * x for c, x in zip(chis, L)], factor)) for d, L in a3_levels(D, M)
         ]
-
-    def grid(levels: list) -> list:
-        keys, rows = row_classes(levels, M)
-        return [rows[key] for key in keys]
-
     damp = _series_zeta_odd_2s_inverse(M)
-    return grid(levels), grid([(d, convolve(v, damp)) for d, v in levels])
+    return level_grid(levels, M), level_grid([(d, convolve(v, damp)) for d, v in levels], M)
 
 
 def verify_thm12(D: int, M: int) -> IdentityReport:
@@ -465,8 +460,7 @@ def verify_thm12(D: int, M: int) -> IdentityReport:
     (``wmds.a3_levels``), and a convolution in each variable is bilinear.
     So the stated right side is sum_d d v_d[m] v_d[n] with the 1-D
     convolution v_d = u_d * f, and the damped one is the same sum over
-    v_d * zeta_odd(2s)^{-1}; each is summed by row classes
-    (``congruence.row_classes``).
+    v_d * zeta_odd(2s)^{-1}; each is laid out by ``congruence.level_grid``.
     """
     if D == 0 or D % 2 == 0:
         raise DomainError("D must be odd and nonzero")
@@ -511,19 +505,21 @@ def verify_siegel(d: int, p: int, T: int) -> IdentityReport:
           = (1 + chi)(1 - q) + (1 - q^2)(2q - chi) * sum_{l=0}^{alpha} 2^l q^{2l}.
 
     Both sides are compared as integer polynomials truncated at degree T.
-    T is first raised to v_p(d) + 4, so the finite right side is never
-    truncated, then capped so that the largest modulus read (p^T, or
-    2^(T+1) for p = 2) is below 2^63; RangeError when that leaves it under
-    v_p(d) + 4.  The report's params carry the T used, and its first
-    mismatch the least degree l where the sides differ.
+    The right side has degree at most v_p(d) + 1 for odd p and v_p(d) + 3
+    for p = 2.  T is first raised one above that, so the right side is never
+    truncated and one degree past it is compared, then capped so that the
+    largest modulus read (p^T, or 2^(T+1) for p = 2) is below 2^63;
+    RangeError when that leaves T under its least value.  The report's
+    params carry the T used, and its first mismatch the least degree l
+    where the sides differ.
     """
-    least = valuation(d, p) + 4
+    least = valuation(d, p) + (4 if p == 2 else 2)
     top = 0  # the largest degree whose modulus read is below 2^63
     while p ** (top + 1 + (p == 2)) < 2**63:
         top += 1
     T = min(max(T, least), top)
     if T < least:
-        raise RangeError("T must be at least v_p(d) + 4")
+        raise RangeError("T must be at least v_p(d) + 2, or v_p(d) + 4 at p = 2")
     alpha, chi_p = _local_data(d, p)
     if p == 2:
         counts = [sqrt_count(d, 2**l) for l in range(T + 2)]

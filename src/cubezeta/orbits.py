@@ -7,9 +7,9 @@ x^2 = D (mod 4m), y^2 = D (mod 4n) taken in the windows [0, 2|m|) and
 The total count B(D, m, n) is the divisor-level sum of ``congruence`` with
 local factor A(D', 4k) = sqrt_count(D', 4k); its level d = 1 term is four
 times the number of congruence pairs.  B vanishes unless D = 0,1 mod 4.
-``B`` computes one cell, ``b_rows`` the row classes of a box and ``b_grid``
-the box; none loads ``cube``, which ``cube_from_invariants`` imports when it
-builds a cube.
+``B`` computes one cell, ``b_levels`` the level vectors of a box and
+``b_grid`` the box; none loads ``cube``, which ``cube_from_invariants``
+imports when it builds a cube.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 from .congruence import (
     DomainError,
     level_grid,
-    level_rows,
     level_sum,
+    level_vectors,
     solve_linear,
     sqrt_count,
     sqrt_count_series,
@@ -146,19 +146,19 @@ def B(D: int, m: int, n: int) -> int:
     return level_sum(D, abs(m), abs(n), _root_count)
 
 
-def b_rows(D: int, M: int) -> tuple[list[tuple], dict[tuple, list[int]]]:
-    """B(D, m, n) for 0 <= m, n <= M as ``congruence.level_rows``: keys[m], rows[key].
+def b_levels(D: int, M: int) -> list[tuple[int, list[int]]]:
+    """[(d, L_d)] of B(D, m, n), 0 <= m <= M, as ``congruence.level_vectors``.
 
-    Requires D = 0,1 mod 4, D != 0.
+    Empty when D = 0 or D = 2,3 mod 4, where B is all zero.
     """
-    return level_rows(D, M, _root_count_series)
+    if D == 0 or D % 4 not in (0, 1):
+        return []
+    return level_vectors(D, M, _root_count_series)
 
 
 def b_grid(D: int, M: int) -> list[list[int]]:
-    """Grid of B(D, m, n) for 1 <= m, n <= M; index [m][n], row/col 0 unused.
+    """Grid of B(D, m, n) for 1 <= m, n <= M; index [m][n], row/col 0 zero.
 
-    All zero unless D = 0,1 mod 4, D != 0.
+    Each row is a list of its own, so an edit to one cell changes no other.
     """
-    if D == 0 or D % 4 not in (0, 1):
-        return [[0] * (M + 1) for _ in range(M + 1)]
-    return level_grid(D, M, _root_count_series)
+    return [row[:] for row in level_grid(b_levels(D, M), M)]

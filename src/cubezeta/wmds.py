@@ -5,8 +5,8 @@ a_pp(p, k, l) = p^(min(k,l)/2) when min(k, l) is even, else 0; the global
 coefficient a(D, m) is the product over primes of a_pp at the valuations of
 |D| and m.  The three-variable coefficient a3(D, m, n) is the divisor-level
 sum of ``congruence`` with local factor a(D', k), the same sum as the orbit
-count B; ``a_coeff3`` computes one cell, ``a3_levels`` its level vectors,
-``a3_rows`` the row classes of a box and ``a3_grid`` the box.
+count B; ``a_coeff3`` computes one cell, ``a3_levels`` the level vectors of
+a box and ``a3_grid`` the box.
 
 The twisted coefficient multiplies in the quadratic character of D evaluated
 on the part of m coprime to the squarefree part of D; ``tilde_a`` computes
@@ -25,7 +25,6 @@ from .congruence import (
     hat,
     kronecker,
     level_grid,
-    level_rows,
     level_sum,
     level_vectors,
     multiplicative_series,
@@ -74,14 +73,12 @@ def a3_levels(D: int, M: int) -> list[tuple[int, list[int]]]:
     return level_vectors(D, M, _a_series)
 
 
-def a3_rows(D: int, M: int) -> tuple[list[tuple], dict[tuple, list[int]]]:
-    """a3(D, m, n) for 0 <= m, n <= M as ``congruence.level_rows``: keys[m], rows[key]."""
-    return level_rows(D, M, _a_series)
-
-
 def a3_grid(D: int, M: int) -> list[list[int]]:
-    """Grid of a3(D, m, n) for 1 <= m, n <= M (D != 0); index [m][n], row/col 0 zero."""
-    return level_grid(D, M, _a_series)
+    """Grid of a3(D, m, n) for 1 <= m, n <= M (D != 0); index [m][n], row/col 0 zero.
+
+    Each row is a list of its own, so an edit to one cell changes no other.
+    """
+    return [row[:] for row in level_grid(a3_levels(D, M), M)]
 
 
 def tilde_a(D: int, m: int) -> int:

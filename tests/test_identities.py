@@ -266,3 +266,9 @@ def test_verify_siegel_small_sweep():
         for p in (2, 3, 5, 7):
             rep = verify_siegel(d, p, 10)
             assert rep.status == "equal", (d, p, rep.first_mismatch)
+
+
+def test_verify_siegel_at_a_prime_whose_fifth_power_passes_the_63_bit_cap():
+    # 6211^5 >= 2^63 caps T at 4; for odd p the least T is v_p(d) + 2 = 3
+    rep = verify_siegel(-6211, 6211, 12)
+    assert (rep.status, rep.params["T"]) == ("equal", 4)
