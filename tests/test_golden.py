@@ -3,7 +3,10 @@
 ``golden/commands.json`` lists each command's argv and exit code; its stdout
 is ``golden/<name>.out``.  The files were recorded from the CLI before the
 verify pipeline was consolidated, so any change in the JSON reports or the
-exit codes shows here.  ``golden/usage.json`` holds the stdout, stderr and
+exit codes shows here.  The ``verify_<id>_default`` files pin every check at
+its default range, and ``verify_thm12_bench`` and ``verify_thm13_bench`` the
+benchmark's two cut ranges; they were recorded before the checks' per-instance
+kernels were reworked.  ``golden/usage.json`` holds the stdout, stderr and
 exit code of every ``--help`` and of argparse's usage errors, recorded from
 the CLI before it read a plain command line without argparse, at 80 columns.
 """
