@@ -37,6 +37,12 @@ from typing import NamedTuple
 
 _INPUT_BOUND = 2**63  # factorization inputs must fit in 63 bits
 
+# The most entries each of the caches of factorize, divisors, sqrt_count and
+# _sqrt_count_prime_power holds, so that a long run's memory stays flat.  A
+# benchmark pass holds a few hundred entries per cache, and the largest
+# default verify run (siegel's sqrt_count) about 9,000.
+_CACHE_SIZE = 4096
+
 
 class RangeError(ValueError):
     """An input is outside the supported range."""
@@ -62,7 +68,7 @@ class Factorization(NamedTuple):
 _TRIAL_BOUND = 2**12  # trial division below this; Miller-Rabin and rho above its square
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def factorize(n: int) -> Factorization:
     """Factorization of a nonzero integer.
 
@@ -169,7 +175,7 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def divisors(n: int) -> tuple[int, ...]:
     """Sorted positive divisors of n (n != 0)."""
     fac = factorize(n)
@@ -268,32 +274,44 @@ def level_grid(levels: list, M: int) -> list[list[int]]:
     return [rows[key] for key in keys]
 
 
-@lru_cache(maxsize=None)
-def _least_prime_powers(M: int) -> tuple[tuple[int, int, int], ...]:
-    """(p, e, n / p^e) for 2 <= n <= M, where p is the least prime of n and p^e || n."""
+@lru_cache(maxsize=64)  # one entry per cutoff M; a box reads a few dozen
+def _least_prime_powers(M: int) -> tuple[tuple, tuple]:
+    """The 2 <= n <= M split by their least prime p, with p^e || n.
+
+    Returns (powers, products): (n, p, e) for each prime power n = p^e, and
+    (n, n / p^e, p^e) for every other n, each ascending in n.
+    """
     least = list(range(M + 1))
     for p in range(2, M + 1):
         if least[p] == p:
             for n in range(p * p, M + 1, p):
                 least[n] = min(least[n], p)
-    out = []
+    powers, products = [], []
     for n in range(2, M + 1):
-        p, r, e = least[n], n // least[n], 1
-        while r % p == 0:
-            r, e = r // p, e + 1
-        out.append((p, e, r))
-    return tuple(out)
+        p = least[n]
+        q, e = p, 1
+        while n % (q * p) == 0:
+            q, e = q * p, e + 1
+        if q == n:
+            powers.append((n, p, e))
+        else:
+            products.append((n, n // q, q))
+    return tuple(powers), tuple(products)
 
 
 def multiplicative_series(M: int, local) -> list[int]:
     """[0, f(1), ..., f(M)] for the multiplicative f with f(p^e) = local(p, e).
 
-    local is called once per prime power p^e <= M; every other n is
-    f(p^e) f(n / p^e) for the least prime p of n, read from smaller entries.
+    local is called once per prime power p^e <= M, and those entries are
+    filled first; every other n is f(n / p^e) f(p^e) for the least prime p
+    of n, read from smaller entries.
     """
     out = [0] + [1] * M
-    for n, (p, e, r) in enumerate(_least_prime_powers(M), 2):
-        out[n] = local(p, e) if r == 1 else out[n // r] * out[r]
+    powers, products = _least_prime_powers(M)
+    for n, p, e in powers:
+        out[n] = local(p, e)
+    for n, r, q in products:
+        out[n] = out[r] * out[q]
     return out
 
 
@@ -303,7 +321,7 @@ def _legendre(u: int, p: int) -> int:
     return r if r <= 1 else -1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _sqrt_count_prime_power(d: int, p: int, l: int) -> int:
     """Number of x mod p^l with x^2 = d (mod p^l)."""
     if l == 0:
@@ -328,7 +346,7 @@ def _sqrt_count_prime_power(d: int, p: int, l: int) -> int:
     return c * p ** (k // 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def sqrt_count(d: int, a: int) -> int:
     """Number of residues x mod a with x^2 = d (mod a); a != 0.
 

@@ -51,12 +51,17 @@ and reports in ``IdentityReport``, which is re-exported here.
 
 ``partial_sum`` evaluates truncations of the full three-variable sum
 sum_D sum_{m,n} B(D, m, n) m^{-s1} n^{-s2} |D|^{-w} in floats.
+
+``orbits`` and ``wmds`` are imported inside the functions that read them
+(prop25, thm12 and ``partial_sum``), so prop21, cor24 and siegel run
+neither module.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 from .congruence import (
@@ -73,9 +78,7 @@ from .congruence import (
     sqrt_count_series,
     valuation,
 )
-from .orbits import b_grid
 from .report import IdentityReport, compare, first_mismatch  # IdentityReport is re-exported
-from .wmds import a3_levels, twisted_series
 
 Coeffs = list  # c[0] unused; c[1..M] are the coefficients
 
@@ -92,15 +95,14 @@ def convolve(F: Coeffs, G: Coeffs) -> Coeffs:
     if len(G) - 1 != M:
         raise DomainError("coefficient arrays must share a cutoff")
     if F.count(0) < G.count(0):
-        F, G = G, F  # the product commutes; the outer loop skips the zeros of F
+        F, G = G, F  # the product commutes; the outer loop runs over the support of F
     out = coeffs_zero(M)
-    for d in range(1, M + 1):
+    for d in compress(range(1, M + 1), F[1:]):
         fd = F[d]
-        if fd == 0:
-            continue
         for q in range(1, M // d + 1):
-            if G[q]:
-                out[d * q] += fd * G[q]
+            g = G[q]
+            if g:
+                out[d * q] += fd * g
     return out
 
 
@@ -203,6 +205,16 @@ def _series_p_tilde2(D: int, M: int) -> Coeffs:
     if D % 4 == 1:
         return _series_two_factor(M)
     return coeffs_zero(M)
+
+
+@lru_cache(maxsize=2)
+def _series_rank3_factor(M: int) -> tuple[int, ...]:
+    """(2 - 2*4^{-s}) zeta(s), one shared tuple per M.
+
+    The factor _series_p_tilde2 * zeta of prop25 and thm12 at D = 1 mod 4;
+    at D = 3 mod 4 that factor is the zero series.
+    """
+    return tuple(convolve(_series_two_factor(M), _series_zeta(M)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +424,13 @@ def verify_prop25(D: int, M: int) -> IdentityReport:
     """
     if D == 0 or D % 2 == 0:
         raise DomainError("D must be odd and nonzero")
+    from .wmds import twisted_series
+
     lhs = sqrt_count_series(D, M, 4)
-    twisted = twisted_series(D, M) if D % 4 == 1 else coeffs_zero(M)
-    printed = convolve(convolve(_series_p_tilde2(D, M), _series_zeta(M)), twisted)
+    if D % 4 == 1:
+        printed = convolve(_series_rank3_factor(M), twisted_series(D, M))
+    else:  # the factor and the twisted series both vanish
+        printed = coeffs_zero(M)
     return _printed_then_corrected(
         "prop25",
         {"D": D, "M": M},
@@ -434,9 +450,11 @@ def _thm12_right_sides(D: int, M: int) -> tuple[list, list]:
     Summed from level vectors as ``verify_thm12`` states; the rows of one
     row class are one list.  Both vanish when D = 3 mod 4.
     """
-    factor = convolve(_series_p_tilde2(D, M), _series_zeta(M))
+    from .wmds import a3_levels, twisted_series
+
     levels = []
     if D % 4 == 1:
+        factor = _series_rank3_factor(M)
         chis = twisted_series(D, M, coefficient=False)
         levels = [
             (d, convolve([c * x for c, x in zip(chis, L)], factor)) for d, L in a3_levels(D, M)
@@ -464,6 +482,8 @@ def verify_thm12(D: int, M: int) -> IdentityReport:
     """
     if D == 0 or D % 2 == 0:
         raise DomainError("D must be odd and nonzero")
+    from .orbits import b_grid
+
     printed, damped = _thm12_right_sides(D, M)
     return _printed_then_corrected(
         "thm12",
@@ -486,6 +506,16 @@ def _poly_mul(f: list, g: list, T: int) -> list:
             for j, cj in enumerate(g[: T + 1 - i]):
                 out[i + j] += ci * cj
     return out
+
+
+@lru_cache(maxsize=64)
+def _siegel_top(p: int) -> int:
+    """The largest degree whose modulus read by verify_siegel, p^T or
+    2^(T+1) at p = 2, is below 2^63."""
+    top = 0
+    while p ** (top + 1 + (p == 2)) < 2**63:
+        top += 1
+    return top
 
 
 def verify_siegel(d: int, p: int, T: int) -> IdentityReport:
@@ -514,10 +544,7 @@ def verify_siegel(d: int, p: int, T: int) -> IdentityReport:
     where the sides differ.
     """
     least = valuation(d, p) + (4 if p == 2 else 2)
-    top = 0  # the largest degree whose modulus read is below 2^63
-    while p ** (top + 1 + (p == 2)) < 2**63:
-        top += 1
-    T = min(max(T, least), top)
+    T = min(max(T, least), _siegel_top(p))
     if T < least:
         raise RangeError("T must be at least v_p(d) + 2, or v_p(d) + 4 at p = 2")
     alpha, chi_p = _local_data(d, p)
@@ -565,6 +592,8 @@ def partial_sum(s1: float, s2: float, w: float, Dmax: int, M: int) -> PartialSum
             "exponents s1, s2, w <= 1 are outside the absolute-convergence "
             "region; the truncated value is heuristic"
         )
+    from .orbits import b_grid
+
     terms = []
     try:
         for D in range(-Dmax, Dmax + 1):

@@ -31,7 +31,8 @@ g = gcd(D1, a1, a2).  ``verify_thm13`` checks one cell and
 ``verify_thm13_scan`` every cell a1, a2 <= amax of one discriminant; both
 compare the two sums with B by the same status rule.  Where g = 1 both
 sums are N1(1) N2(1), and the scan settles such a cell inline when that
-product equals B.
+product equals B, and a row of such cells by one comparison; a cell with
+g > 1 is settled inline when neither report can change there.
 
 The counts read no cube: ``cube`` is imported only by ``pair_from_cube``,
 so ``moduli`` and ``verify thm13`` do not load it.
@@ -218,9 +219,13 @@ def fiber_count(D: int, a1: int, a2: int) -> int:
     return sigma1(math.gcd(data.D1, abs(a1), abs(a2)))
 
 
-def _depressed(cls: OrientedIdealClass, d: int, D: int) -> bool:
-    """Whether d | b and (b/d)^2 = D/d^2 (mod 4|a|/d), for d^2 | D and d | a."""
-    return cls.b % d == 0 and ((cls.b // d) ** 2 - D // (d * d)) % (4 * abs(cls.a) // d) == 0
+def _depressed(b: int, norm: int, d: int, D: int) -> bool:
+    """Whether d | b and (b/d)^2 = D/d^2 (mod 4 norm/d), for d^2 | D and d | norm.
+
+    b and norm = |a| are a class's residue and norm; its orientation does
+    not enter.
+    """
+    return b % d == 0 and ((b // d) ** 2 - D // (d * d)) % (4 * norm // d) == 0
 
 
 def pair_fiber(pair: IdealClassPair) -> int:
@@ -236,7 +241,8 @@ def pair_fiber(pair: IdealClassPair) -> int:
     D, first, second = pair.D, pair.first, pair.second
     g = math.gcd(squarefree_split(D)[1], first.norm, second.norm)
     return sum(
-        d for d in divisors(g) if _depressed(first, d, D) and _depressed(second, d, D)
+        d for d in divisors(g)
+        if _depressed(first.b, first.norm, d, D) and _depressed(second.b, second.norm, d, D)
     )
 
 
@@ -245,10 +251,17 @@ def level_counts(D: int, D1: int, a: int) -> dict:
     orientations, that pass the depressed congruence at d.
 
     N(1) counts every class.  The classes are enumerated from their roots,
-    not counted by ``sqrt_count``.
+    not counted by ``sqrt_count``: each root b < 2a of b^2 = D (mod 4a) is
+    one class of each orientation, and the depressed test does not read the
+    orientation, so N(d) is twice the roots that pass it.  Every root
+    passes it at d = 1.
     """
-    classes = _oriented_classes(D, a)
-    return {d: sum(_depressed(c, d, D) for c in classes) for d in divisors(math.gcd(D1, a))}
+    require_discriminant(D)
+    roots = [b for b in sqrt_roots(D, 4 * a) if b < 2 * a]
+    counts = {1: 2 * len(roots)}
+    for d in divisors(math.gcd(D1, a))[1:]:
+        counts[d] = 2 * sum(_depressed(b, a, d, D) for b in roots)
+    return counts
 
 
 def fiber_sums(g: int, counts1: dict, counts2: dict) -> tuple[int, int]:
@@ -322,9 +335,15 @@ def verify_thm13_scan(D: int, amax: int) -> IdentityReport:
     and B is read from one ``b_grid``.  The first cell, in (a1, a2) order,
     whose per-pair sum differs from B is reported as a mismatch; otherwise
     the first whose constant-fiber sum differs from B is reported as the
-    known discrepancy.  A cell with gcd(D1, a1, a2) = 1, where both sums
-    are N1(1) N2(1), is settled inline when that product equals B; every
-    other cell goes through ``_thm13_cell``.
+    known discrepancy.
+
+    Cells that can change neither report are settled inline.  A cell with
+    gcd(D1, a1, a2) = 1, where both sums are N1(1) N2(1), is settled when
+    that product equals B, and a whole row with gcd(D1, a1) = 1 by one list
+    comparison.  A cell with g = gcd(D1, a1, a2) > 1 is settled when its
+    per-pair sum equals B and either its constant-fiber sum does too or a
+    known discrepancy is already recorded.  Every other cell goes through
+    ``_thm13_cell``, so the reported sums and cell are the same.
     """
     params = {"D": D, "amax": amax}
     D1 = discriminant_data(D).D1
@@ -333,12 +352,23 @@ def verify_thm13_scan(D: int, amax: int) -> IdentityReport:
     b = b_grid(D, amax)
     first_known = None
     for a1 in range(1, amax + 1):
-        g1, n1, row = math.gcd(D1, a1), ones[a1], b[a1]
+        g1, n1, row, counts1 = math.gcd(D1, a1), ones[a1], b[a1], counts[a1]
+        if g1 == 1 and row == [n1 * x for x in ones]:
+            continue
         for a2 in range(1, amax + 1):
+            b_value = row[a2]
             g = 1 if g1 == 1 else math.gcd(g1, a2)
-            if g == 1 and n1 * ones[a2] == row[a2]:
-                continue
-            status, sums = _thm13_cell(g, counts[a1], counts[a2], row[a2])
+            if g == 1:
+                if n1 * ones[a2] == b_value:
+                    continue
+            else:
+                counts2 = counts[a2]
+                exact = sum(d * counts1[d] * counts2[d] for d in divisors(g))
+                if exact == b_value and (
+                    first_known is not None or sigma1(g) * n1 * ones[a2] == b_value
+                ):
+                    continue
+            status, sums = _thm13_cell(g, counts1, counts[a2], b_value)
             if status == "mismatch":
                 return IdentityReport(
                     "thm13", params, status, {"a1": a1, "a2": a2, **sums},

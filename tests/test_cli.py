@@ -606,6 +606,33 @@ def test_modules_are_registered_at_import_and_run_on_first_use():
     ]
 
 
+def test_each_verify_check_runs_only_the_library_modules_it_reads():
+    code = (
+        "import os, sys, types\n"
+        f"library = {_LIBRARY!r}\n"
+        "def ran():  # a registered module stays a lazy subclass until its code runs\n"
+        "    return [m for m in library if type(sys.modules['cubezeta.' + m]) is types.ModuleType]\n"
+        "from cubezeta.cli import main\n"
+        "def runs(*argv):  # the modules that have run after the check, written to devnull\n"
+        "    assert main(['verify', *argv, '--threads', '1', '--output', os.devnull]) == 0\n"
+        "    print(ran())\n"
+        "runs('prop21', '--Dmax', '12', '--M', '30')\n"
+        "runs('cor24', '--Dmax', '12', '--M', '30')\n"
+        "runs('siegel', '--Dmax', '20', '--T', '6')\n"
+        "runs('prop25', '--Dmax', '21', '--M', '20')\n"
+        "runs('thm12', '--Dmax', '21', '--M', '12')\n"
+    )
+    proc = python_with_src("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['congruence', 'identities']",  # prop21: no orbits, no wmds
+        "['congruence', 'identities']",  # cor24
+        "['congruence', 'identities']",  # siegel
+        "['congruence', 'identities', 'wmds']",  # prop25: wmds, no orbits
+        "['congruence', 'identities', 'orbits', 'wmds']",  # thm12: both
+    ]
+
+
 # a usage error of each command that its handler raises, so the handler module loads
 _HANDLER_USAGE_ERRORS = {
     "count": ["count", "B", "--D", "5", "--m", "2"],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubezeta import congruence
 from cubezeta.congruence import (
     DomainError,
     RangeError,
@@ -20,6 +21,7 @@ from cubezeta.congruence import (
     is_fundamental,
     kronecker,
     mobius,
+    multiplicative_series,
     sigma1,
     sqrt_count,
     sqrt_count_direct,
@@ -51,6 +53,14 @@ def test_factorize_rejects_zero_and_63_bit_overflow():
     with pytest.raises(RangeError):
         factorize(2**63)
     factorize(2**63 - 1)  # boundary value is accepted
+
+
+def test_the_arithmetic_caches_share_one_bound_and_stay_at_it():
+    caches = (factorize, divisors, sqrt_count, congruence._sqrt_count_prime_power)
+    assert {f.cache_info().maxsize for f in caches} == {congruence._CACHE_SIZE}
+    for n in range(1, congruence._CACHE_SIZE + 100):
+        assert factorize(n).value() == n
+    assert factorize.cache_info().currsize == congruence._CACHE_SIZE
 
 
 def test_divisors_and_sigma1_frozen():
@@ -261,3 +271,19 @@ def test_hat_strips_exactly_the_squarefree_part(m, D):
     for p, _ in (factorize(cof).factors if cof > 1 else ()):
         assert abs(d0) % p == 0
 
+
+def test_multiplicative_series_is_the_product_over_prime_powers():
+    """Every M <= 300 against the product of local over factorize; local is
+    called once per prime power p^e <= M and for nothing else."""
+    def local(p, e):
+        calls.append(p**e)
+        return 10 * p + e  # distinct at each prime power, as e < 10 here
+    for M in range(301):
+        calls = []
+        series = multiplicative_series(M, local)
+        want = [0, 1][: M + 1]
+        for n in range(2, M + 1):
+            want.append(math.prod(10 * p + e for p, e in factorize(n).factors))
+        assert series == want, M
+        powers = [n for n in range(2, M + 1) if len(factorize(n).factors) == 1]
+        assert sorted(calls) == powers, M

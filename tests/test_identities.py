@@ -26,6 +26,7 @@ from cubezeta.identities import (
     _series_zeta,
     _series_zeta2s_inverse,
     _series_zeta_odd_2s_inverse,
+    _siegel_top,
     _thm12_right_sides,
     convolve,
     convolve_bi,
@@ -272,3 +273,14 @@ def test_verify_siegel_at_a_prime_whose_fifth_power_passes_the_63_bit_cap():
     # 6211^5 >= 2^63 caps T at 4; for odd p the least T is v_p(d) + 2 = 3
     rep = verify_siegel(-6211, 6211, 12)
     assert (rep.status, rep.params["T"]) == ("equal", 4)
+
+
+def test_siegel_top_degree_is_the_largest_below_the_63_bit_cap():
+    # every prime below 10^4, by a sieve, against the largest T whose
+    # modulus read, p^T or 2^(T+1) at p = 2, is below 2^63
+    sieve = [True] * 10**4
+    for n in range(2, 100):
+        sieve[n * n::n] = [False] * len(sieve[n * n::n])
+    for p in (n for n in range(2, 10**4) if sieve[n]):
+        want = max(T for T in range(64) if p ** (T + (p == 2)) < 2**63)
+        assert _siegel_top(p) == want, p

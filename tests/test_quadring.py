@@ -242,10 +242,11 @@ def test_verify_thm13_scan_matches_the_single_cell_check():
             assert scan.first_mismatch == {"a1": a1, "a2": a2, **sums}, (D, amax)
 
 
-@pytest.mark.parametrize("cell", [(3, 5), (2, 4)], ids=["gcd-1", "gcd-2"])
+@pytest.mark.parametrize("cell", [(3, 5), (2, 4), (5, 3)], ids=["gcd-1", "gcd-2", "row-gcd-1"])
 def test_verify_thm13_scan_reports_a_b_one_off_at_its_cell(monkeypatch, cell):
     """A one-off B is a mismatch at exactly its cell, whether the scan settles
-    the cell inline (gcd(D1, a1, a2) = 1) or by its level sums (here 2)."""
+    the cell inline (gcd(D1, a1, a2) = 1), by its level sums (here 2), or
+    with its whole row (gcd(D1, a1) = 1)."""
     D, (a1, a2) = -36, cell  # D1 = 6
     real = quadring.b_grid
 
