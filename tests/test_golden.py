@@ -6,7 +6,9 @@ verify pipeline was consolidated, so any change in the JSON reports or the
 exit codes shows here.  The ``verify_<id>_default`` files pin every check at
 its default range, and ``verify_thm12_bench`` and ``verify_thm13_bench`` the
 benchmark's two cut ranges; they were recorded before the checks' per-instance
-kernels were reworked.  ``golden/usage.json`` holds the stdout, stderr and
+kernels were reworked.  ``verify_thm13_1200_40`` pins thm13 at discriminants
+with up to 8 divisor levels and an amax above the default; it was recorded
+before the scan read its aggregates from level grids.  ``golden/usage.json`` holds the stdout, stderr and
 exit code of every ``--help`` and of argparse's usage errors, recorded from
 the CLI before it read a plain command line without argparse, at 80 columns.
 """

@@ -202,6 +202,16 @@ def test_verify_thm13_statuses_frozen():
     assert report.findings
 
 
+def test_verify_thm13_reports_a_b_one_off_as_a_mismatch(monkeypatch):
+    """A one-off B at one cell is a mismatch with that cell's two sums."""
+    real = quadring.B
+    monkeypatch.setattr(quadring, "B", lambda D, a1, a2: real(D, a1, a2) + 1)
+    report = verify_thm13(-4, 2, 2)
+    assert report.status == "mismatch"
+    assert report.first_mismatch == {"pairs": 4, "sigma1_sum": 12, "exact_sum": 4, "B": 5}
+    assert report.findings == ("exact per-pair fiber aggregate disagrees with B",)
+
+
 def test_fiber_sums_match_the_per_pair_and_constant_aggregates():
     for D in range(-60, 61):
         if not is_discriminant(D):
