@@ -28,7 +28,6 @@ _CELL_FLAGS = ("D", "a1", "a2")
 _ENTRY_CAP = 1_000_000
 _RUN_CAP = 10_000_000
 _INSTANCE_ENTRIES = 32
-_SIEGEL_TOP = 62  # verify_siegel lowers T so that no modulus it reads reaches 2**63
 
 
 def _odd_integers(Dmax: int):
@@ -72,7 +71,11 @@ def _check_cost(identity: str, params: dict) -> int:
     checks for each, so that a pool's batches are not cut too small.
     """
     _, _, instances, size, exponent = _CHECKS[identity]
-    value = min(params[size], _SIEGEL_TOP) if identity == "siegel" else params[size]
+    value = params[size]
+    if identity == "siegel":  # verify_siegel lowers T to at most its degree cap at p = 2
+        from ..identities import _siegel_top
+
+        value = min(value, _siegel_top(2))
     entries = value**exponent
     if entries > _ENTRY_CAP:
         raise UsageError(f"verify {identity} needs about {entries:,} entries "

@@ -24,15 +24,14 @@ Fibers of the cube-to-pair map:
   everywhere.
 
 ``level_counts`` counts, per norm a and divisor level d | gcd(D1, a), the
-classes N(d) that pass the depressed congruence at d, and ``fiber_sums``
-computes both aggregates of one cell from the counts of its two norms, the
-per-pair one as sum_{d | g} d * N1(d) * N2(d) over the divisor levels d of
-g = gcd(D1, a1, a2).  ``verify_thm13`` checks one cell and
-``verify_thm13_scan`` every cell a1, a2 <= amax of one discriminant; both
-compare the two sums with B by the same status rule.  Where g = 1 both
-sums are N1(1) N2(1), and the scan settles such a cell inline when that
-product equals B, and a row of such cells by one comparison; a cell with
-g > 1 is settled inline when neither report can change there.
+classes N(d) that pass the depressed congruence at d.  Both aggregates are
+sums over the divisor levels d of g = gcd(D1, a1, a2): the per-pair one is
+sum_{d | g} d * N1(d) * N2(d), and the constant-fiber one sum_{d | g} d *
+N1(1) * N2(1).  ``verify_thm13`` checks one cell, its two sums taken by
+``fiber_sums``; ``verify_thm13_scan`` checks every cell a1, a2 <= amax of
+one discriminant, its two sums taken as two ``level_grid``s and the cell
+it reports found by ``first_mismatch``.  Both compare the two sums with B
+by the same status rule.
 
 The counts read no cube: ``cube`` is imported only by ``pair_from_cube``,
 so ``moduli`` and ``verify thm13`` do not load it.
@@ -48,13 +47,14 @@ from .congruence import (
     RangeError,
     discriminant_data,
     divisors,
+    level_grid,
     require_discriminant,
     sigma1,
     sqrt_roots,
     squarefree_split,
 )
 from .orbits import B, b_grid
-from .report import IdentityReport
+from .report import IdentityReport, first_mismatch
 
 if TYPE_CHECKING:  # cube is imported where a cube is read, so the counts do not load it
     from .cube import BinaryQuadraticForm, Cube
@@ -276,17 +276,6 @@ def fiber_sums(g: int, counts1: dict, counts2: dict) -> tuple[int, int]:
     return sigma_sum, exact_sum
 
 
-def _thm13_cell(g: int, counts1: dict, counts2: dict, b_value: int) -> tuple[str, dict]:
-    """Status of one cell, by its two aggregates next to b_value = B(D, a1, a2)."""
-    sigma_sum, exact_sum = fiber_sums(g, counts1, counts2)
-    status = (
-        "mismatch" if exact_sum != b_value
-        else "known_constant_fiber_discrepancy" if sigma_sum != b_value
-        else "equal"
-    )
-    return status, {"sigma1_sum": sigma_sum, "exact_sum": exact_sum, "B": b_value}
-
-
 _MISMATCH_NOTE = "exact per-pair fiber aggregate disagrees with B"
 
 
@@ -304,21 +293,23 @@ def verify_thm13(D: int, a1: int, a2: int) -> IdentityReport:
         raise RangeError("norms must be positive")
     D1 = discriminant_data(D).D1
     counts1, counts2 = level_counts(D, D1, a1), level_counts(D, D1, a2)
-    status, sums = _thm13_cell(math.gcd(D1, a1, a2), counts1, counts2, B(D, a1, a2))
+    sigma_sum, exact_sum = fiber_sums(math.gcd(D1, a1, a2), counts1, counts2)
+    b_value = B(D, a1, a2)
     params = {"D": D, "a1": a1, "a2": a2}
-    if status == "equal":
-        return IdentityReport("thm13", params, status, None)
-    detail = {"pairs": counts1[1] * counts2[1], **sums}
-    if status == "mismatch":
-        return IdentityReport("thm13", params, status, detail, (_MISMATCH_NOTE,))
+    detail = {"pairs": counts1[1] * counts2[1], "sigma1_sum": sigma_sum,
+              "exact_sum": exact_sum, "B": b_value}
+    if exact_sum != b_value:
+        return IdentityReport("thm13", params, "mismatch", detail, (_MISMATCH_NOTE,))
+    if sigma_sum == b_value:
+        return IdentityReport("thm13", params, "equal", None)
     finding = (
         "the per-fiber cardinality is not constant at "
         f"sigma_1(gcd(D1, a1, a2)) = {fiber_count(D, a1, a2)}: the "
-        f"constant-fiber aggregate gives {sums['sigma1_sum']}, but the fibers "
+        f"constant-fiber aggregate gives {sigma_sum}, but the fibers "
         "depend on the b-data through the depressed congruences and their "
-        f"exact sum {sums['exact_sum']} matches B"
+        f"exact sum {exact_sum} matches B"
     )
-    return IdentityReport("thm13", params, status, detail, (finding,))
+    return IdentityReport("thm13", params, "known_constant_fiber_discrepancy", detail, (finding,))
 
 
 _CONSTANT_FIBER_NOTE = (
@@ -331,54 +322,33 @@ _CONSTANT_FIBER_NOTE = (
 def verify_thm13_scan(D: int, amax: int) -> IdentityReport:
     """``verify_thm13`` over every cell a1, a2 <= amax of one discriminant.
 
-    D1 is split off once, the ``level_counts`` of each norm are taken once,
-    and B is read from one ``b_grid``.  The first cell, in (a1, a2) order,
-    whose per-pair sum differs from B is reported as a mismatch; otherwise
-    the first whose constant-fiber sum differs from B is reported as the
-    known discrepancy.
-
-    Cells that can change neither report are settled inline.  A cell with
-    gcd(D1, a1, a2) = 1, where both sums are N1(1) N2(1), is settled when
-    that product equals B, and a whole row with gcd(D1, a1) = 1 by one list
-    comparison.  A cell with g = gcd(D1, a1, a2) > 1 is settled when its
-    per-pair sum equals B and either its constant-fiber sum does too or a
-    known discrepancy is already recorded.  Every other cell goes through
-    ``_thm13_cell``, so the reported sums and cell are the same.
+    D1 is split off once and the ``level_counts`` of each norm are taken
+    once.  Both aggregates are level grids over the divisor levels d | D1
+    with d <= amax: the per-pair one over the vectors N_a(d), and the
+    constant-fiber one, sigma_1(g) N_a1(1) N_a2(1) = sum_{d | g} d N_a1(1)
+    N_a2(1), over the vectors N_a(1), each 0 where d does not divide a.
+    When d = 1 is the only level, the two grids are one.  B is read from one
+    ``b_grid``.  The first cell, in (a1, a2) order, whose per-pair sum
+    differs from B is reported as a mismatch; otherwise the first whose
+    constant-fiber sum differs from B is reported as the known discrepancy.
     """
     params = {"D": D, "amax": amax}
     D1 = discriminant_data(D).D1
-    counts = {a: level_counts(D, D1, a) for a in range(1, amax + 1)}
-    ones = [0] + [counts[a][1] for a in range(1, amax + 1)]
+    counts = [{}] + [level_counts(D, D1, a) for a in range(1, amax + 1)]
+    levels = [d for d in divisors(D1) if d <= amax]
+    exact = level_grid([(d, [c.get(d, 0) for c in counts]) for d in levels], amax)
+    sigma = exact if len(levels) < 2 else level_grid(
+        [(d, [c.get(1, 0) if a % d == 0 else 0 for a, c in enumerate(counts)]) for d in levels],
+        amax)
     b = b_grid(D, amax)
-    first_known = None
-    for a1 in range(1, amax + 1):
-        g1, n1, row, counts1 = math.gcd(D1, a1), ones[a1], b[a1], counts[a1]
-        if g1 == 1 and row == [n1 * x for x in ones]:
-            continue
-        for a2 in range(1, amax + 1):
-            b_value = row[a2]
-            g = 1 if g1 == 1 else math.gcd(g1, a2)
-            if g == 1:
-                if n1 * ones[a2] == b_value:
-                    continue
-            else:
-                counts2 = counts[a2]
-                exact = sum(d * counts1[d] * counts2[d] for d in divisors(g))
-                if exact == b_value and (
-                    first_known is not None or sigma1(g) * n1 * ones[a2] == b_value
-                ):
-                    continue
-            status, sums = _thm13_cell(g, counts1, counts[a2], b_value)
-            if status == "mismatch":
-                return IdentityReport(
-                    "thm13", params, status, {"a1": a1, "a2": a2, **sums},
-                    (_MISMATCH_NOTE,),
-                )
-            if status != "equal" and first_known is None:
-                first_known = {"a1": a1, "a2": a2, **sums}
-    if first_known is None:
+    status, note = "mismatch", _MISMATCH_NOTE
+    cell = first_mismatch(exact, b, ("a1", "a2"))
+    if cell is None:
+        status, note = "known_constant_fiber_discrepancy", _CONSTANT_FIBER_NOTE
+        cell = first_mismatch(sigma, b, ("a1", "a2"))
+    if cell is None:
         return IdentityReport("thm13", params, "equal", None)
-    return IdentityReport(
-        "thm13", params, "known_constant_fiber_discrepancy", first_known,
-        (_CONSTANT_FIBER_NOTE,),
-    )
+    a1, a2 = cell["a1"], cell["a2"]
+    detail = {"a1": a1, "a2": a2, "sigma1_sum": sigma[a1][a2],
+              "exact_sum": exact[a1][a2], "B": b[a1][a2]}
+    return IdentityReport("thm13", params, status, detail, (note,))

@@ -756,11 +756,12 @@ _RUN, _INSTANCE = "in all, over 10,000,000", "per instance, over 1,000,000"
     (("thm13", "--Dmax", "100000000"), f"93,200,000,000 entries {_RUN}"),
     (("prop21", "--Dmax", "100000000"), f"23,200,000,000 entries {_RUN}"),
     (("thm12", "--Dmax", "9", "--M", "1000"), f"10,000,320 entries {_RUN}"),
-    (("siegel", "--Dmax", "2580", "--T", str(10**9)), f"10,000,080 entries {_RUN}"),
+    (("siegel", "--Dmax", "2665", "--T", str(10**9)), f"10,001,745 entries {_RUN}"),
+    (("siegel", "--Dmax", "5200", "--T", "62"), f"19,515,600 entries {_RUN}"),
     (("thm44", "--kmax", "32"), f"1,048,576 entries {_INSTANCE}"),
     (("thm13", "--Dmax", "1", "--amax", "1001"), f"1,002,001 entries {_INSTANCE}"),
-], ids=["thm13-Dmax", "prop21-Dmax", "thm12-Dmax-M", "siegel-Dmax-T", "thm44-kmax",
-        "thm13-amax"])
+], ids=["thm13-Dmax", "prop21-Dmax", "thm12-Dmax-M", "siegel-Dmax-T", "siegel-T-62",
+        "thm44-kmax", "thm13-amax"])
 def test_verify_above_a_cost_cap_exits_2_at_once(argv, estimate):
     start = time.perf_counter()
     proc = python_with_src("-m", "cubezeta.cli", "verify", *argv, "--threads", "1")
@@ -771,8 +772,9 @@ def test_verify_above_a_cost_cap_exits_2_at_once(argv, estimate):
 
 def test_default_benchmark_and_edge_verify_ranges_are_under_the_caps():
     ranges = [("thm12", {"Dmax": 150, "M": 40}), ("thm13", {"Dmax": 150, "amax": 20}),
-              ("prop21", {"Dmax": 300000, "M": 1}), ("siegel", {"Dmax": 2579, "T": 10**9}),
-              ("thm44", {"kmax": 31}), ("thm13", {"Dmax": 1, "amax": 1000})]
+              ("prop21", {"Dmax": 300000, "M": 1}), ("siegel", {"Dmax": 2664, "T": 10**9}),
+              ("siegel", {"Dmax": 2640, "T": 62}), ("thm44", {"kmax": 31}),
+              ("thm13", {"Dmax": 1, "amax": 1000})]
     ranges += [(identity, {}) for identity in _CHECKS]
     for identity, given in ranges:
         count = _check_cost(identity, {**_CHECKS[identity][0], **given})

@@ -287,3 +287,20 @@ def test_multiplicative_series_is_the_product_over_prime_powers():
         assert series == want, M
         powers = [n for n in range(2, M + 1) if len(factorize(n).factors) == 1]
         assert sorted(calls) == powers, M
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sqrt_count(5, 0), DomainError, "modulus must be nonzero"),
+    (lambda: sqrt_roots(5, 0), DomainError, "modulus must be nonzero"),
+    (lambda: sqrt_count_direct(5, 0), DomainError, "modulus must be nonzero"),
+    (lambda: kronecker(3, 0), DomainError, "kronecker implemented for positive n"),
+    (lambda: mobius(0), RangeError, "mobius is defined for n >= 1"),
+    (lambda: congruence.valuation(0, 3), RangeError, "valuation of 0 is undefined"),
+    (lambda: hat(0, 5), DomainError, "hat expects m >= 1"),
+    (lambda: congruence.solve_linear(2, 1, 4), DomainError, "2*x = 1 (mod 4) has no solution"),
+], ids=["sqrt_count", "sqrt_roots", "sqrt_count_direct", "kronecker", "mobius",
+        "valuation", "hat", "solve_linear"])
+def test_out_of_domain_inputs_raise_with_their_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)

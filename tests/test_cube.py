@@ -445,3 +445,12 @@ def test_oracle_frozen_counts():
     }
     for (D, m, n, entry_bound, slack), fields in frozen.items():
         assert orbit_count_oracle(D, m, n, entry_bound, slack) == OracleCount(*fields), (D, m, n)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: orbit_count_oracle(5, 0, 1), DomainError, "oracle requires nonzero m and n"),
+], ids=["orbit_count_oracle"])
+def test_out_of_domain_inputs_raise_with_their_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)

@@ -284,3 +284,16 @@ def test_siegel_top_degree_is_the_largest_below_the_63_bit_cap():
     for p in (n for n in range(2, 10**4) if sieve[n]):
         want = max(T for T in range(64) if p ** (T + (p == 2)) < 2**63)
         assert _siegel_top(p) == want, p
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: convolve([0, 1, 2], [0, 1]), DomainError, "coefficient arrays must share a cutoff"),
+    (lambda: _series_p_tilde2(4, 10), DomainError, "this factor is defined for odd D"),
+    # 2097169 is prime, and 2097169**3 > 2**63, so the degree cap there is 2
+    (lambda: verify_siegel(4 * 2097169, 2097169, 12), RangeError,
+     "T must be at least v_p(d) + 2, or v_p(d) + 4 at p = 2"),
+], ids=["convolve", "series_p_tilde2", "verify_siegel"])
+def test_out_of_domain_inputs_raise_with_their_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)

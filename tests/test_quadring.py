@@ -232,13 +232,16 @@ def test_verify_thm13_scan_matches_the_single_cell_check():
 
     Its status is the worst per-cell status, and its first_mismatch is the
     first non-equal cell in (a1, a2) order with that cell's two sums and B.
+    Besides every small D, the inputs take D with many divisor levels d | D1:
+    -675 (1, 3, 5, 15), 2025, -144, and 3600 (11 levels up to 30).
     """
     rank = {"equal": 0, "known_constant_fiber_discrepancy": 1, "mismatch": 2}
-    for D in range(-60, 61):
-        if not is_discriminant(D):
-            continue
-        cells = {(a1, a2): verify_thm13(D, a1, a2) for a1 in range(1, 13) for a2 in range(1, 13)}
-        for amax in range(1, 13):
+    cases = [(D, range(1, 13)) for D in range(-60, 61) if is_discriminant(D)]
+    for D, amaxes in cases + [(D, (1, 12, 30)) for D in (-675, 2025, -144, 3600)]:
+        top = max(amaxes)
+        cells = {(a1, a2): verify_thm13(D, a1, a2)
+                 for a1 in range(1, top + 1) for a2 in range(1, top + 1)}
+        for amax in amaxes:
             square = [(cell, rep) for cell, rep in sorted(cells.items()) if max(cell) <= amax]
             scan = verify_thm13_scan(D, amax)
             status = max((rep.status for _, rep in square), key=rank.get)
@@ -252,11 +255,18 @@ def test_verify_thm13_scan_matches_the_single_cell_check():
             assert scan.first_mismatch == {"a1": a1, "a2": a2, **sums}, (D, amax)
 
 
-@pytest.mark.parametrize("cell", [(3, 5), (2, 4), (5, 3)], ids=["gcd-1", "gcd-2", "row-gcd-1"])
+@pytest.mark.parametrize("amax", [0, -2])
+def test_verify_thm13_scan_of_no_cell_is_equal(amax):
+    for D in (5, -4, -675, 3600):
+        report = verify_thm13_scan(D, amax)
+        assert (report.status, report.first_mismatch, report.findings) == ("equal", None, ())
+
+
+@pytest.mark.parametrize("cell", [(3, 5), (2, 4), (5, 3)], ids=["3-5", "2-4", "5-3"])
 def test_verify_thm13_scan_reports_a_b_one_off_at_its_cell(monkeypatch, cell):
-    """A one-off B is a mismatch at exactly its cell, whether the scan settles
-    the cell inline (gcd(D1, a1, a2) = 1), by its level sums (here 2), or
-    with its whole row (gcd(D1, a1) = 1)."""
+    """A one-off B is a mismatch at exactly its cell: (3, 5) and (5, 3), where
+    gcd(D1, a1, a2) = 1 and only the level d = 1 counts, one with a1 on the
+    level 3 and one with a2, and (2, 4), on the levels 1 and 2."""
     D, (a1, a2) = -36, cell  # D1 = 6
     real = quadring.b_grid
 
@@ -270,3 +280,17 @@ def test_verify_thm13_scan_reports_a_b_one_off_at_its_cell(monkeypatch, cell):
     assert report.status == "mismatch"
     assert (report.first_mismatch["a1"], report.first_mismatch["a2"]) == cell
     assert report.first_mismatch["B"] == B(D, a1, a2) + 1
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: classes_with_norm(5, 0), DomainError, "a must be nonzero"),
+    (lambda: ring_ideal_from_form(BinaryQuadraticForm(0, 1, 1)), DomainError,
+     "form must have a nonzero leading coefficient"),
+    (lambda: ring_ideal_from_form(BinaryQuadraticForm(1, 2, 1)), DomainError,
+     "form must have a nonzero discriminant"),
+    (lambda: verify_thm13(5, 0, 1), RangeError, "norms must be positive"),
+], ids=["classes_with_norm", "form_with_a_0", "form_with_D_0", "verify_thm13"])
+def test_out_of_domain_inputs_raise_with_their_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (info.type, str(info.value)) == (error, message)
