@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import pickle
 import random
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubezeta import quadring
+from cubezeta.commands import _discriminants
 from cubezeta.congruence import (
     DomainError,
     RangeError,
@@ -253,6 +256,26 @@ def test_verify_thm13_scan_matches_the_single_cell_check():
             (a1, a2), rep = first
             sums = {k: v for k, v in rep.first_mismatch.items() if k != "pairs"}
             assert scan.first_mismatch == {"a1": a1, "a2": a2, **sums}, (D, amax)
+
+
+def test_every_verify_thm13_scan_report_is_pinned():
+    """A SHA-256 over the JSON of every report, one line each, in order.
+
+    A golden of ``verify thm13`` shows only its first non-equal instance, so
+    a scan that went wrong at a later D, or at a later cell of a D, would
+    leave every golden as it is; this digest changes.  The ranges: every
+    |D| <= 500 at amax 30, every |D| <= 2000 at amax 8, and D with many
+    divisor levels or large D1 at amax 1, 2, 7 and 30.
+    """
+    cases = [(D, 30) for D in _discriminants(500)] + [(D, 8) for D in _discriminants(2000)]
+    cases += [(D, amax) for D in (3600, -3600, 44100, -176400, 2**20, -3 * 2**21, -4 * 6211,
+                                  5 * 6211**2) for amax in (1, 2, 7, 30)]
+    digest = hashlib.sha256()
+    for D, amax in cases:
+        report = verify_thm13_scan(D, amax)._asdict()
+        digest.update((json.dumps(report, sort_keys=True) + "\n").encode())
+    assert (len(cases), digest.hexdigest()) == (
+        2532, "12853c76d1e67d07763e3bd1692468a55eb85fc70c1ade05406ad42e971e1532")
 
 
 @pytest.mark.parametrize("amax", [0, -2])
