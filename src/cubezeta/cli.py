@@ -29,6 +29,18 @@ reader closed before the output ended.  ``main`` opens --output before the
 command runs, so a path that cannot be opened fails at once, and a command
 that fails after that leaves the file empty or partly written.
 
+A process (``python -m cubezeta.cli`` or the ``cubezeta`` script) runs
+``process_main``: once ``main`` returns its code, it runs the atexit
+handlers, flushes stdout and stderr and ends with ``os._exit``, so no
+module teardown, object freeing or last collection follows; ``main`` itself
+returns its code, and a caller in the same process keeps the full teardown.
+Nothing is lost at that exit because ``main`` leaves nothing open: its
+``with`` block closes --output; ``commands._write`` flushes after every
+write; ``commands._map_ordered`` shuts the pool down and joins it in its
+``with ProcessPoolExecutor``, and a row generator that a closed stdout left
+unfinished is finalized, which does that, before ``main`` returns; and
+cubezeta starts no other thread.
+
 Start-up compiles and builds only the command it runs.  This module holds
 the parser, the dispatch, ``run`` and ``main``.  ``_parse_plain`` reads a
 plain command line (a command, its flags each once as ``--flag value``)
@@ -58,6 +70,7 @@ time), so output is byte-identical for every parallelism degree.
 
 from __future__ import annotations
 
+import atexit
 import importlib
 import os
 import sys
@@ -238,9 +251,30 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout (as `| head` does); what is still buffered
         # goes to devnull, so the flush at exit raises nothing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 
+def process_main() -> None:
+    """Run ``main`` on ``sys.argv`` and end the process with its code, without teardown.
+
+    The atexit handlers run and stdout and stderr are flushed, as at
+    interpreter shutdown; a stdout that its reader closed exits 2, as in
+    ``main``.  Then ``os._exit`` skips module teardown, object freeing and
+    the last collection, whose memory the OS takes back anyway.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except BrokenPipeError:
+            code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    process_main()

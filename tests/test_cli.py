@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -483,14 +484,86 @@ def test_thread_count_does_not_change_output(capsys):
         assert out1 == out2 and out1.count("\n") == 1 + rows
 
 
-def test_pooled_table_in_a_fresh_process_matches_one_process():
+def test_pooled_table_in_a_fresh_process_matches_one_process(tmp_path):
     # above the crossover, so --threads 2 forks a pool from a fresh process,
-    # whose workers inherit the orbits module that the table handler has run
+    # whose workers inherit the orbits module that the table handler has run;
+    # --output is closed before the process ends without teardown
     Dmax, Mmax, rows = pooled_box("B", 40)
     argv = ("-m", "cubezeta.cli", "table", "B", "--Dmax", Dmax, "--Mmax", Mmax)
-    one, two = (python_with_src(*argv, "--threads", threads) for threads in ("1", "2"))
+    target = tmp_path / "table.csv"
+    one, two, to_file = (python_with_src(*argv, "--threads", threads, *output)
+                         for threads, output in (("1", ()), ("2", ()),
+                                                 ("2", ("--output", str(target)))))
     assert (one.returncode, one.stderr) == (two.returncode, two.stderr) == (0, "")
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, "", "")
     assert two.stdout == one.stdout and one.stdout.count("\n") == 1 + rows
+    assert target.read_bytes() == one.stdout.encode()
+
+
+def test_a_pooled_table_to_a_closed_stdout_exits_2_and_leaves_no_process(tmp_path):
+    # stderr goes to a file, so that a worker left running cannot block its read
+    Dmax, Mmax, _ = pooled_box("B", 40)
+    argv = ["table", "B", "--Dmax", Dmax, "--Mmax", Mmax, "--threads", "2"]
+    with open(tmp_path / "stderr", "w+") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "cubezeta.cli", *argv], env=src_env(),
+                                stdout=subprocess.PIPE, stderr=stderr, text=True,
+                                start_new_session=True)
+        try:
+            assert proc.stdout.readline() == "D,m,n,B\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=30) == 2
+            with pytest.raises(ProcessLookupError):  # the pool's workers have ended too
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, 9)
+            proc.wait()
+        stderr.seek(0)
+        err = stderr.read()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+# A fresh process with an atexit handler and a module-level object whose
+# __del__ runs only at interpreter teardown, each writing one line to stderr
+_EXIT_PROBE = (
+    "import atexit, importlib, runpy, sys\n"
+    "atexit.register(lambda: print('atexit handler', file=sys.stderr))\n"
+    "class Teardown:\n"
+    "    def __del__(self):\n"
+    "        print('teardown', file=sys.stderr)\n"
+    "teardown = Teardown()\n"
+    "sys.argv = ['cubezeta', 'count', 'A', '--d', '5', '--a', '4']\n"
+)
+
+
+@pytest.mark.parametrize("how", ["dash-m", "console-script"])
+def test_a_process_runs_its_atexit_handlers_and_skips_the_teardown(how):
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, function = re.search(r'^cubezeta = "(.*):(.*)"$', pyproject, re.M).groups()
+    call = {"dash-m": "runpy.run_module('cubezeta.cli', run_name='__main__')",
+            "console-script": f"getattr(importlib.import_module({module!r}), {function!r})()"}
+    proc = python_with_src("-c", _EXIT_PROBE + call[how])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "atexit handler\n")
+
+
+def test_output_still_buffered_at_exit_to_a_closed_stdout_exits_2():
+    # help is written without a flush, so with stdout buffered only the flush
+    # at exit meets the closed pipe
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "cubezeta.cli", "--help"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    assert (proc.wait(timeout=60), proc.stderr.read()) == (2, "")
+    proc.stderr.close()
+
+
+def test_a_process_with_no_stdout_writes_its_output_file(tmp_path):
+    target = tmp_path / "out"
+    argv = ["count", "A", "--d", "5", "--a", "4", "--output", str(target)]
+    proc = subprocess.run([sys.executable, "-m", "cubezeta.cli", *argv], env=src_env(),
+                          stderr=subprocess.PIPE, text=True, timeout=60,
+                          preexec_fn=lambda: os.close(1))  # sys.stdout is None
+    assert (proc.returncode, proc.stderr, target.read_text()) == (0, "", "2\n")
 
 
 @pytest.mark.parametrize("what, module", [("B", "orbits"), ("a3", "wmds")])
