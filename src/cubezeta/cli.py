@@ -36,13 +36,13 @@ module teardown, object freeing or last collection follows; ``main`` itself
 returns its code, and a caller in the same process keeps the full teardown.
 Nothing is lost at that exit because ``main`` leaves nothing open: its
 ``with`` block closes --output; ``commands._write`` flushes after every
-write; ``commands._map_ordered`` shuts the pool down and joins it in its
-``with ProcessPoolExecutor``, and a row generator that a closed stdout left
-unfinished is finalized, which does that, before ``main`` returns; and
-cubezeta starts no other thread.
+write; ``commands._map_ordered`` shuts its pool down and joins it in its
+``with ProcessPoolExecutor``, also when a closed stdout leaves the
+generator unfinished, since that generator is finalized before ``main``
+returns; and cubezeta starts no other thread.
 
 Start-up compiles and builds only the command it runs.  This module holds
-the parser, the dispatch, ``run`` and ``main``.  ``_parse_plain`` reads a
+the parser, ``run``, ``main`` and ``process_main``.  ``_parse_plain`` reads a
 plain command line (a command, its flags each once as ``--flag value``)
 from the same table of arguments without importing argparse, and gives the
 namespace that argparse would.  Anything else (help, a usage error, a
@@ -262,8 +262,8 @@ def process_main() -> None:
 
     The atexit handlers run and stdout and stderr are flushed, as at
     interpreter shutdown; a stdout that its reader closed exits 2, as in
-    ``main``.  Then ``os._exit`` skips module teardown, object freeing and
-    the last collection, whose memory the OS takes back anyway.
+    ``main``.  ``os._exit`` then skips what is left: module teardown,
+    object freeing and the last collection, whose memory the OS reclaims.
     """
     code = main()
     atexit._run_exitfuncs()

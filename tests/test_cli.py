@@ -546,6 +546,28 @@ def test_a_process_runs_its_atexit_handlers_and_skips_the_teardown(how):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "atexit handler\n")
 
 
+def test_a_closed_stdout_leaves_no_file_descriptor_open():
+    # the lowest free descriptor is the same before and after main, so the
+    # one opened on devnull for the closed stdout has been closed again
+    code = (
+        "import os, sys\n"
+        "from cubezeta.cli import main\n"
+        "def lowest_free():\n"
+        "    fd = os.open(os.devnull, os.O_RDONLY)\n"
+        "    os.close(fd)\n"
+        "    return fd\n"
+        "read, write = os.pipe()\n"
+        "os.close(read)\n"
+        "os.dup2(write, 1)\n"
+        "os.close(write)\n"
+        "before = lowest_free()\n"
+        "assert main(['count', 'A', '--d', '5', '--a', '4']) == 2\n"
+        "print(lowest_free() - before, file=sys.stderr)\n"
+    )
+    proc = python_with_src("-c", code)
+    assert (proc.returncode, proc.stderr) == (0, "0\n")
+
+
 def test_output_still_buffered_at_exit_to_a_closed_stdout_exits_2():
     # help is written without a flush, so with stdout buffered only the flush
     # at exit meets the closed pipe
