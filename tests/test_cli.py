@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -516,7 +517,7 @@ def test_a_pooled_table_to_a_closed_stdout_exits_2_and_leaves_no_process(tmp_pat
                 os.killpg(proc.pid, 0)
         finally:
             with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, 9)
+                os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
         stderr.seek(0)
         err = stderr.read()
