@@ -33,9 +33,9 @@ _EXPORTS = {
         "sqrt_count_direct", "sqrt_roots", "squarefree_split",
     ),
     "cube": (
-        "BinaryQuadraticForm", "Cube", "GroupElement", "act", "act_word", "discriminant",
-        "forms", "invariants", "is_semistable", "orbit_count_oracle", "shear1", "shear2",
-        "sl2",
+        "BinaryQuadraticForm", "Cube", "GroupElement", "act", "act_word", "canonical",
+        "discriminant", "forms", "invariants", "is_semistable", "orbit_count_oracle", "shear1",
+        "shear2", "sl2",
     ),
     "identities": (
         "IdentityReport", "convolve", "convolve_bi", "convolve_many", "partial_sum",

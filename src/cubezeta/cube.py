@@ -18,32 +18,37 @@ moves Q_2.b by -2kn.  Then gamma = ((r, s), (t, u)) in factor 3 fixes
 (M_3, N_3) only at gamma = I, as D != 0 makes M_3 and N_3 linearly
 independent (were they dependent, Q_3 would be a multiple of a square).
 
-The orbit oracle counts, by explicit enumeration and union-find, the orbits
-of cubes with given (D, |m|, |n|) -- all four sign classes together -- and
-reports a stability flag (the count is unchanged when the search slack is
-enlarged).  Enumeration works on the c = 0 slice: every orbit with m, n != 0
-has a representative there, and the slice-preserving moves (the two
+``canonical`` names each semistable orbit by one of its cubes.  By the
+above, the cubes of an orbit with Q_1.b in [0, 2|m|) and Q_2.b in [0, 2|n|)
+form one free orbit of factor 3, the oriented bases (M_3, N_3) of one rank-2
+lattice in Z^4, and a reduced basis of that lattice, least among its ties,
+picks one of them.
+
+The orbit oracle counts, by explicit enumeration, the orbits of cubes with
+given (D, |m|, |n|) -- all four sign classes together -- and reports a
+stability flag (every orbit that the outer box reaches meets the inner box).
+Enumeration works on the c = 0 slice: every orbit with m, n != 0 has a
+representative there.  The slice-preserving moves are the two
 lower-unipotent shears, the upper shear in the third factor, and global
-negation) connect exactly the cubes that the full group connects inside the
-slice, so components of the move graph are orbit traces.  The shears keep
-a, d and g.  Negation swaps the a > 0 and a < 0 halves; the sign flips of
-(b, d, f, h) and of (e, f, g, h) swap the signs of d and of g, and each
-turns one lower shear into its inverse and commutes with the other moves.
-All three keep D, |m|, |n| and every |entry|, so only the part with
-a, d, g > 0 is enumerated and each of its components stands for four orbits.
+negation.  The shears keep a, d and g.  Negation swaps the a > 0 and a < 0
+halves; the sign flips of (b, d, f, h) and of (e, f, g, h) swap the signs of
+d and of g, and each turns one lower shear into its inverse and commutes with
+the other moves.  All three keep D, |m|, |n| and every |entry|, so only the
+part with a, d, g > 0 is enumerated and each of its orbits stands for four.
 The third shear (b, e, f) += k*(d, g, h) commutes with both lower shears,
 so the enumeration yields its orbits (chains), each named by (x, h, e) with
-the run of k in each box, and union-find runs over chains, one forest per
-divisor a.  The oracle moves these names by formulas of its own: they are its
-hot loop.  One pass counts the components meeting the inner box twice: with
-the edges inside the box of radius entry_bound + slack, and again after the
-deferred edges touching the outer shell (radius entry_bound + slack + 1).
+the run of k in each box.  One union-find pass per divisor a joins each
+chain to its neighbours under the lower shears, and ``canonical`` of one
+cube per component tells which components are one orbit, since two can
+join only through cubes outside the box.  The oracle moves the chain names
+by formulas of its own: they are its hot loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .congruence import DomainError, RangeError, divisors
@@ -190,6 +195,51 @@ def _act(i: int, mat, A: Cube) -> Cube:
     return Cube(*out)
 
 
+# The 20 matrices of SL2(Z) with entries in {-1, 0, 1}: they take a reduced
+# basis of a plane lattice to every reduced basis with the same two lengths.
+_SMALL_SL2 = tuple(((r, s), (t, u)) for r, s, t, u in itertools.product((-1, 0, 1), repeat=4)
+                   if r * u - s * t == 1)
+
+
+def _dot(v: tuple, w: tuple) -> int:
+    return sum(map(mul, v, w))
+
+
+def canonical(A: Cube) -> Cube:
+    """The one cube of A's orbit that is returned for every cube of the orbit.
+
+    Shears put Q_1.b in [0, 2|m|) and Q_2.b in [0, 2|n|).  The cubes of the
+    orbit so placed are one orbit of factor 3 alone, acting freely: the
+    oriented bases (v1, v2) = (M_3, N_3) of the rank-2 lattice that they span
+    in Z^4.  Lagrange-Gauss reduction (Nguyen-Stehle, "Low-dimensional
+    lattice basis reduction revisited", ANTS 2004) takes (v1, v2) to a
+    shortest basis by the moves ((1, 0), (-q, 1)) and ((0, 1), (-1, 0)); its
+    least image under ``_SMALL_SL2`` that keeps (|v1|^2, |v2|^2) is the
+    form.  Raises DomainError unless D, m and n are nonzero.
+    """
+    D, m, n = invariants(A)
+    if D * m * n == 0:
+        raise DomainError("canonical form requires nonzero D, m and n")
+    b1, b2 = form1(A).b, form2(A).b  # a factor-1 shear keeps Q_2
+    A = _act(1, ((1, 0), ((b1 - b1 % (2 * abs(m))) // (2 * m), 1)), A)
+    A = _act(2, ((1, 0), ((b2 - b2 % (2 * abs(n))) // (2 * n), 1)), A)
+    v1, v2 = (A.a, A.e, A.b, A.f), (A.c, A.g, A.d, A.h)
+    n1, n2 = _dot(v1, v1), _dot(v2, v2)
+    while True:
+        q = (2 * _dot(v1, v2) + n1) // (2 * n1)  # the nearest integer to <v1, v2> / |v1|^2
+        if q:
+            v2 = tuple(y - q * x for x, y in zip(v1, v2))
+            n2 = _dot(v2, v2)
+        if n2 >= n1:
+            break
+        v1, v2, n1, n2 = v2, tuple(-x for x in v1), n2, n1
+    images = ((tuple(r * x + s * y for x, y in zip(v1, v2)),
+               tuple(t * x + u * y for x, y in zip(v1, v2))) for (r, s), (t, u) in _SMALL_SL2)
+    (a, e, b, f), (c, g, d, h) = min(
+        (w1, w2) for w1, w2 in images if _dot(w1, w1) == n1 and _dot(w2, w2) == n2)
+    return Cube(a, b, c, d, e, f, g, h)
+
+
 def act(g: GroupElement, A: Cube) -> Cube:
     """Apply one element's matrix, ((1, 0), (k, 1)) for a shear by k, to its factor's pair."""
     return _act(g.factor, g.mat or ((1, 0), (g.k, 1)), A)
@@ -256,12 +306,11 @@ def _slice_enumerate(D: int, m: int, n: int, R: int, slack: int, roots):
     chain (x, h, e) has at k = 0 the cube with 0 <= e < g,
     b = (x + a*h + d*e) / g and f = (e*h - (x*x - D) / (4m)) / g.  Each entry
     is affine in k, so the k whose cube has all entries <= rho form one
-    interval (lo, hi), empty when lo > hi: inner, core and outer are these
-    for rho = R, R + slack and R + slack + 1.  For each divisor a of gcd(m, n)
-    with d = m / a and g = n / a in the box, yields (a, d, g, index, spans):
-    index maps the key of each chain with a nonempty outer interval to its
-    number i, and spans[i] = (inner_lo, inner_hi, core_lo, core_hi, outer_lo,
-    outer_hi).
+    interval (lo, hi), empty when lo > hi: inner and outer are these for
+    rho = R and R + slack + 1.  For each divisor a of gcd(m, n) with d = m / a
+    and g = n / a in the box, yields (a, d, g, index, spans): index maps the
+    key of each chain with a nonempty outer interval to its number i, and
+    spans[i] = (inner_lo, inner_hi, outer_lo, outer_hi).
 
     Walks the Diophantine structure of the slice: a*d = m, a*g = n, and x
     runs over the classes mod 4m of ``roots`` from ``_slice_roots``.  Given
@@ -271,7 +320,7 @@ def _slice_enumerate(D: int, m: int, n: int, R: int, slack: int, roots):
     has |b*g - d*e| <= rho*(d + g) and |e*h - f*g| <= rho*(|h| + g), which
     bounds h for each x.
     """
-    core, rho = R + slack, R + slack + 1
+    rho = R + slack + 1
     for a in divisors(math.gcd(m, n)):
         d, g = m // a, n // a
         adg = max(a, d, g)
@@ -314,20 +363,14 @@ def _slice_enumerate(D: int, m: int, n: int, R: int, slack: int, roots):
                         hi = u if u < v and u < t else v if v < t else t
                         if lo > hi:
                             continue
-                        fixed = abs(h) if h else abs(f)
-                        c_lo, c_hi, i_lo, i_hi = 1, 0, 1, 0
-                        if fixed <= core and adg <= core:
-                            u, v, t = (core + b) // d, (core + e) // g, (core + fh) // hh
-                            c_lo = -(u if u < v and u < t else v if v < t else t)
-                            u, v, t = (core - b) // d, (core - e) // g, (core - fh) // hh
-                            c_hi = u if u < v and u < t else v if v < t else t
-                            if fixed <= R and adg <= R:
-                                u, v, t = (R + b) // d, (R + e) // g, (R + fh) // hh
-                                i_lo = -(u if u < v and u < t else v if v < t else t)
-                                u, v, t = (R - b) // d, (R - e) // g, (R - fh) // hh
-                                i_hi = u if u < v and u < t else v if v < t else t
+                        i_lo, i_hi = 1, 0
+                        if (abs(h) if h else abs(f)) <= R and adg <= R:
+                            u, v, t = (R + b) // d, (R + e) // g, (R + fh) // hh
+                            i_lo = -(u if u < v and u < t else v if v < t else t)
+                            u, v, t = (R - b) // d, (R - e) // g, (R - fh) // hh
+                            i_hi = u if u < v and u < t else v if v < t else t
                         index[x, h, e] = len(spans)
-                        spans.append((i_lo, i_hi, c_lo, c_hi, lo, hi))
+                        spans.append((i_lo, i_hi, lo, hi))
         yield a, d, g, index, spans
 
 
@@ -346,24 +389,24 @@ def orbit_count_oracle(
     All four sign classes of (m, n) are counted together.  Enumerates the
     part of the c = 0 slice with a, d, g > 0 inside a box of radius
     R + slack + 1 (R = entry_bound) as third-shear chains
-    (``_slice_enumerate``) and counts, by union-find over chains, the
-    components meeting the inner box of radius R: first under the shear
-    edges between cubes of the box of radius R + slack, then again after the
-    deferred edges that touch the outer shell are added.  The lower shears
-    keep a, d and g and commute with the third shear, so each divisor a has
-    its own union-find, and the k = +1 move of the second shear takes the
-    cube of chain (x, h, e) at k to chain (x, h + g, e) at k, that of the
-    first, reduced by the third shear, to (x - 2m, h + d, (e + a) mod g) at
-    k + (e + a) // g: an edge joins two chains when their intervals meet
-    after the offset.  The two sign flips give four such components in the
-    a > 0 half, and negation pairs each with one of the a < 0 half into one
-    orbit trace, so four times these are the orbit counts.  The count is
-    stable when the two agree, i.e. when enlarging the slack by one does not
-    change it, and the inner box holds a cube.  An empty inner box is stable
-    only when no cube has these invariants at all, i.e. when D is no square
-    mod 4m or mod 4n (then B = 0).  ``cubes_enumerated`` counts the whole
-    slice in the box.  Raises RangeError before any enumeration when 4(m + n)
-    or the box's (x, h) steps, the sum over its divisors a of
+    (``_slice_enumerate``).  The lower shears keep a, d and g and commute
+    with the third shear, so each divisor a has its own union-find, and the
+    k = +1 move of the second shear takes the cube of chain (x, h, e) at k to
+    chain (x, h + g, e) at k, that of the first, reduced by the third shear,
+    to (x - 2m, h + d, (e + a) mod g) at k + (e + a) // g.  Each move links
+    the two chains at every k, so one pass joins every chain to those of its
+    two neighbour keys that the box holds, and every component lies in one
+    orbit.  One ``canonical`` form per component, taken at its root, names
+    its orbit.  The two sign flips give four orbits in the a > 0 half for
+    each form, and negation adds the a < 0 half to the same orbits, so
+    ``count`` is four times the number of forms of the components that meet
+    the inner box of radius R.  The count is stable when these are the forms
+    of all components, so no orbit of the outer box misses the inner one,
+    and the inner box holds a cube.  An empty inner box is stable only when
+    no cube has these invariants at all, i.e. when D is no square mod 4m or
+    mod 4n (then B = 0).  ``cubes_enumerated`` counts the whole slice in the
+    box.  Raises RangeError before any enumeration when 4(m + n) or the box's
+    (x, h) steps, the sum over its divisors a of
     |roots| * (2*x_max // (4m) + 1) * (2*rho + 1), exceed ``_ORACLE_CAP``.
     """
     m, n = abs(m), abs(n)
@@ -380,26 +423,22 @@ def orbit_count_oracle(
                 for a in divisors(math.gcd(m, n)) if max(a, m // a, n // a) <= rho)
     if steps > _ORACLE_CAP:
         raise RangeError(f"oracle box needs about {steps:,} (x, h) steps, over {_ORACLE_CAP:,}")
-    count = count_wider = enumerated = 0
+    inner, every, enumerated = set(), set(), 0
     for a, d, g, index, spans in _slice_enumerate(D, m, n, R, slack, roots):
-        parent, deferred = list(range(len(spans))), []
+        parent = list(range(len(spans)))
         for i, (x, h, e) in enumerate(index):
-            _, _, c_lo, c_hi, o_lo, o_hi = spans[i]
-            q1, e1 = divmod(e + a, g)
-            for j, q in ((index.get((x, h + g, e)), 0), (index.get((x - 2 * m, h + d, e1)), q1)):
-                if j is None:
-                    continue
-                _, _, c2_lo, c2_hi, o2_lo, o2_hi = spans[j]
-                if c_lo <= c_hi and c2_lo <= c2_hi and c_lo + q <= c2_hi and c2_lo <= c_hi + q:
+            for j in (index.get((x, h + g, e)), index.get((x - 2 * m, h + d, (e + a) % g))):
+                if j is not None:
                     parent[_find(parent, i)] = _find(parent, j)
-                elif o_lo + q <= o2_hi and o2_lo <= o_hi + q:
-                    deferred.append((i, j))
-        inner = [i for i, span in enumerate(spans) if span[0] <= span[1]]
-        count += len({_find(parent, i) for i in inner})
-        for i, j in deferred:
-            parent[_find(parent, i)] = _find(parent, j)
-        count_wider += len({_find(parent, i) for i in inner})
-        enumerated += sum(hi - lo + 1 for *_, lo, hi in spans)
-    # the two sign flips and negation make eight copies of each enumerated cube
-    return OracleCount(4 * count, count == count_wider and (count > 0 or not roots),
+        form = {}
+        for r, (x, h, e) in enumerate(index):
+            if parent[r] == r:
+                f = (e * h - (x * x - D) // (4 * m)) // g
+                form[r] = canonical(Cube(a, (x + a * h + d * e) // g, 0, d, e, f, g, h))
+        every.update(form.values())
+        inner.update(form[_find(parent, i)] for i, span in enumerate(spans) if span[0] <= span[1])
+        enumerated += sum(hi - lo + 1 for _, _, lo, hi in spans)
+    # the two sign flips and negation make four orbits of each form and eight
+    # copies of each enumerated cube
+    return OracleCount(4 * len(inner), inner == every and (bool(inner) or not roots),
                        R, slack, 8 * enumerated)

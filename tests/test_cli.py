@@ -74,10 +74,16 @@ def test_orbits_with_oracle(capsys):
 
 
 def test_orbits_oracle_honours_slack_zero(capsys):
-    code, out, _ = run(capsys, "orbits", "--D", "9", "--m", "1", "--n", "1", "--oracle",
-                       "--entry-bound", "1", "--slack", "0")
+    # the inner box of radius 2 misses the divisor a = 1 of (m, n) = (2, 4), whose
+    # g = 4 lies outside the outer box of radius 3 at slack 0 but inside it at the
+    # default slack 5, so only the default flags the count
+    argv = ("orbits", "--D", "9", "--m", "2", "--n", "4", "--oracle", "--entry-bound", "2")
+    code, out, _ = run(capsys, *argv, "--slack", "0")
     assert code == 1
-    assert out.splitlines() == ["B = 4", "oracle = 24", "stable = false", "agree = false"]
+    assert out.splitlines() == ["B = 16", "oracle = 8", "stable = true", "agree = false"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out.splitlines() == ["B = 16", "oracle = 8", "stable = false", "agree = false"]
 
 
 def test_orbits_oracle_negative_box_exits_2(capsys):
@@ -698,7 +704,7 @@ def test_modules_are_registered_at_import_and_run_on_first_use():
         "['congruence', 'cube', 'orbits', 'ppart', 'quadring', 'wmds'] "
         "['count', 'moduli', 'pairs', 'ppart', 'verify']",
         "True ['congruence', 'cube', 'orbits', 'ppart', 'quadring', 'wmds']",
-        "73 True",
+        "74 True",
     ]
 
 
@@ -864,6 +870,19 @@ def test_verify_above_a_cost_cap_exits_2_at_once(argv, estimate):
     assert time.perf_counter() - start < 1
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", f"error: verify {argv[0]} needs about {estimate}\n")
+
+
+@pytest.mark.parametrize("box, cells", [
+    (("100000000", "10"), "12,100,000,000"),
+    (("100", "100000000"), "1,000,000,020,000,000,100"),
+], ids=["Dmax", "Mmax"])
+def test_zeta_above_its_cell_cap_exits_2_at_once(box, cells):
+    start = time.perf_counter()
+    proc = python_with_src("-m", "cubezeta.cli", "zeta", "--s1", "2", "--s2", "2", "--w", "2",
+                           "--Dmax", box[0], "--Mmax", box[1])
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: zeta needs about {cells} cells, over 100,000,000\n")
 
 
 def test_default_benchmark_and_edge_verify_ranges_are_under_the_caps():

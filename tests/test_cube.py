@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +20,7 @@ from cubezeta.cube import (
     _slice_roots,
     act,
     act_word,
+    canonical,
     default_entry_bound,
     discriminant,
     form1,
@@ -206,6 +208,52 @@ def test_cubes_off_the_semistable_locus_have_fixed_points():
 
 
 # ---------------------------------------------------------------------------
+# Canonical orbit form
+# ---------------------------------------------------------------------------
+
+
+small_entries = st.integers(min_value=-6, max_value=6)
+semistable_cubes = st.builds(Cube, *([small_entries] * 8)).filter(is_semistable)
+letters = st.one_of(ks.map(shear1), ks.map(shear2),
+                    sl2_matrices().map(lambda mat: sl2(*mat[0], *mat[1])))
+
+
+def discriminant_kind(D):
+    return "D < 0" if D < 0 else "square D" if math.isqrt(D) ** 2 == D else "non-square D > 0"
+
+
+@pytest.mark.parametrize("kind", ["D < 0", "square D", "non-square D > 0"])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_canonical_form_is_unchanged_by_the_group(kind, data):
+    A = data.draw(semistable_cubes.filter(lambda A: discriminant_kind(discriminant(A)) == kind))
+    word = data.draw(st.lists(letters, max_size=12))
+    assert canonical(act_word(word, A)) == canonical(A)
+
+
+@settings(max_examples=200)
+@given(semistable_cubes)
+def test_canonical_form_lies_in_the_orbit(A):
+    C = canonical(A)
+    _, m, n = invariants(A)
+    b1, b2 = form1(A).b, form2(A).b
+    # the shears that put Q1.b in [0, 2|m|) and Q2.b in [0, 2|n|)
+    P = act_word([shear1((b1 - b1 % (2 * abs(m))) // (2 * m)),
+                  shear2((b2 - b2 % (2 * abs(n))) // (2 * n))], A)
+    assert 0 <= form1(P).b < 2 * abs(m) and 0 <= form2(P).b < 2 * abs(n)
+    # the factor-3 matrix from (M3, N3) of P to that of C, by Cramer's rule on
+    # two coordinates where M3 and N3 are independent
+    (v1, v2), (w1, w2) = slicing3(P), slicing3(C)
+    i, j = next((i, j) for i in range(4) for j in range(i + 1, 4) if v1[i] * v2[j] != v1[j] * v2[i])
+    det = v1[i] * v2[j] - v1[j] * v2[i]
+    (r, t), (s, u) = ((Fraction(w[i] * v2[j] - w[j] * v2[i], det) for w in (w1, w2)),
+                      (Fraction(v1[i] * w[j] - v1[j] * w[i], det) for w in (w1, w2)))
+    assert all(x.denominator == 1 for x in (r, s, t, u)), (A, C)
+    assert r * u - s * t == 1
+    assert act(sl2(int(r), int(s), int(t), int(u)), P) == C
+
+
+# ---------------------------------------------------------------------------
 # Oracle: completeness of the slice enumeration, agreement with the formula
 # ---------------------------------------------------------------------------
 
@@ -237,7 +285,7 @@ def literal_slice_scan(D, m, n, R):
 
 
 def chain_records(D, m, n, R, slack):
-    """(rep, inner, core, outer, key) of each chain of ``_slice_enumerate``.
+    """(rep, inner, outer, key) of each chain of ``_slice_enumerate``.
 
     The representative (a, b, 0, d, e, f, g, h) is rebuilt from the key
     (x, h, e): b = (x + a*h + d*e) / g and f = (e*h - (x*x - D) / (4m)) / g,
@@ -250,15 +298,15 @@ def chain_records(D, m, n, R, slack):
             s, rs = divmod(x * x - D, 4 * m)
             f, rf = divmod(e * h - s, g)
             assert rb == rs == rf == 0, (a, x, h, e)
-            i_lo, i_hi, c_lo, c_hi, o_lo, o_hi = spans[i]
+            i_lo, i_hi, o_lo, o_hi = spans[i]
             rep = (a, b, 0, d, e, f, g, h)
-            records.append((rep, (i_lo, i_hi), (c_lo, c_hi), (o_lo, o_hi), (x, h, e)))
+            records.append((rep, (i_lo, i_hi), (o_lo, o_hi), (x, h, e)))
     return records
 
 
 def expand(chain, k_range=None):
     """The cubes rep + k*(0, d, 0, 0, g, h, 0, 0) of a chain, for k in its outer interval."""
-    (a, b, _, d, e, f, g, h), _, _, (lo, hi), _ = chain
+    (a, b, _, d, e, f, g, h), _, (lo, hi), _ = chain
     ks = range(lo, hi + 1) if k_range is None else k_range
     return [(a, b + k * d, 0, d, e + k * g, f + k * h, g, h) for k in ks]
 
@@ -273,7 +321,7 @@ def with_sign_flips(cubes):
 def test_slice_enumeration_is_complete_in_small_boxes():
     boxes = ((5, 1, 1, 3), (45, 3, 3, 4), (-4, 1, 1, 3), (12, 2, 1, 3), (5, 1, 2, 3))
     for D, m, n, R in boxes:
-        # radii R - 2, R - 1 and R for the inner, core and outer intervals
+        # radii R - 2 and R for the inner and outer intervals
         chains = chain_records(D, m, n, R - 2, 1)
         produced = with_sign_flips(c for chain in chains for c in expand(chain))
         # every cube of the a > 0 half lies in exactly one chain (or one flip of it)
@@ -286,8 +334,8 @@ def test_slice_enumeration_is_complete_in_small_boxes():
             (a, _, _, d, e, _, g, _), *spans, _ = chain
             assert a > 0 and d > 0 and 0 <= e < g, chain
             # each interval is exactly the k whose cube has all entries <= its radius
-            window = range(spans[2][0] - 3 * R, spans[2][1] + 3 * R + 1)
-            for (lo, hi), radius in zip(spans, (R - 2, R - 1, R)):
+            window = range(spans[1][0] - 3 * R, spans[1][1] + 3 * R + 1)
+            for (lo, hi), radius in zip(spans, (R - 2, R)):
                 within = [max(map(abs, c)) <= radius for c in expand(chain, window)]
                 assert within == [lo <= k <= hi for k in window], (chain, radius)
     # the last box is empty: 5 is a square mod 4m = 4 but not mod 4n = 8, and
@@ -324,24 +372,26 @@ def test_chain_keys_follow_the_group_action():
     assert checked > 100
 
 
-def tuple_graph_oracle(D, m, n, entry_bound, slack):
-    """Reference oracle: 8-tuple cubes, a levelled edge list, one union-find per level.
+def box_graph(D, m, n, R, slack):
+    """(cubes, maxabs, root) of the slice in the box of radius R + slack + 1.
 
     The move graph of the seven slice-preserving moves on the whole slice
     (the expanded chains, their sign flips and their negations), built on
-    tuples with explicit neighbour tuples; the count at radius R + slack and
-    the count with the outer shell's edges come from two separate union-find
-    passes over the whole edge list.  An inner box without a cube is unstable
-    whenever some cube has the invariants, i.e. D is a square mod 4m and 4n.
+    8-tuples with explicit neighbour tuples and joined by one union-find pass
+    over its edges; root[i] is the component of cubes[i].
     """
-    R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
     chains = chain_records(D, m, n, R, slack)
     half = with_sign_flips(c for chain in chains for c in expand(chain))
     # the set makes cubes_enumerated differ from the oracle's if a cube repeats
     cubes = sorted(set(half) | {tuple(-v for v in c) for c in half})
     index_of = {cube: i for i, cube in enumerate(cubes)}
-    maxabs = [max(abs(v) for v in cube) for cube in cubes]
-    edges = []
+    parent = list(range(len(cubes)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
     for i, (a, b, _, d, e, f, g, h) in enumerate(cubes):
         neighbours = [(-a, -b, 0, -d, -e, -f, -g, -h)]
         for k in (1, -1):
@@ -352,26 +402,28 @@ def tuple_graph_oracle(D, m, n, entry_bound, slack):
             ]
         for nb in neighbours:
             j = index_of.get(nb)
-            if j is not None and j > i:
-                edges.append((max(maxabs[i], maxabs[j]), i, j))
-
-    def count_at(outer):
-        parent = list(range(len(cubes)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            return i
-
-        for level, i, j in edges:
-            if level <= outer:
+            if j is not None:
                 parent[find(i)] = find(j)
-        return len({find(i) for i in range(len(cubes)) if maxabs[i] <= R})
+    maxabs = [max(abs(v) for v in cube) for cube in cubes]
+    return cubes, maxabs, [find(i) for i in range(len(cubes))]
 
-    count, wider = count_at(R + slack), count_at(R + slack + 1)
+
+def tuple_graph_oracle(D, m, n, entry_bound, slack):
+    """Reference oracle: the components of ``box_graph``, labelled by their canonical forms.
+
+    The count is the number of forms of the components that meet the inner
+    box of radius R, all four sign classes of (m, n) among them.  It is
+    stable when those are the forms of all components, unless the inner box
+    holds no cube although some cube has the invariants, i.e. D is a square
+    mod 4m and 4n.
+    """
+    R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
+    cubes, maxabs, root = box_graph(D, m, n, R, slack)
+    form = {r: canonical(Cube(*cubes[r])) for r in set(root)}
+    inner = {form[r] for r, size in zip(root, maxabs) if size <= R}
     exists = sqrt_count_direct(D, 4 * m) and sqrt_count_direct(D, 4 * n)
-    vacuous = exists and all(r > R for r in maxabs)
-    return OracleCount(count, count == wider and not vacuous, R, slack, len(cubes))
+    stable = inner == set(form.values()) and (bool(inner) or not exists)
+    return OracleCount(len(inner), stable, R, slack, len(cubes))
 
 
 def test_oracle_matches_tuple_graph_reference():
@@ -384,14 +436,30 @@ def test_oracle_matches_tuple_graph_reference():
                 got = orbit_count_oracle(D, m, n, entry_bound, slack)
                 want = tuple_graph_oracle(D, m, n, entry_bound, slack)
                 assert got == want, (D, m, n, entry_bound, slack)
-                if not got.stable:
+                # on these cells each orbit that the outer box reaches meets the inner
+                # box, or the inner box holds no cube at all
+                if got.stable:
+                    assert got.count == B(D, m, n), (D, m, n, entry_bound, slack)
+                else:
+                    assert got.count == 0, (D, m, n, entry_bound, slack)
                     unstable.add((D, m, n, entry_bound, slack))
-    # the deferred outer-shell edges change the count on these cells
-    assert {(-15, 1, 1, 2, 1), (9, 1, 1, 1, 0)} <= unstable
     # an inner box of radius 0 holds no cube (a != 0): unstable where B > 0,
     # stable where the slice is empty because 5 is no square mod 4n = 8
     assert (-4, 1, 1, 0, 5) in unstable
     assert (5, 1, 2, 0, 0) not in unstable and (5, 2, 2, 0, 5) not in unstable
+
+
+def test_forms_join_the_union_find_components_at_minus_188_9_9():
+    D, m, n = -188, 9, 9
+    R = default_entry_bound(D, m, n)
+    cubes, maxabs, root = box_graph(D, m, n, R, 5)
+    # the components of the sign class m, n > 0 that meet the inner box
+    inner = {r for r, size in zip(root, maxabs)
+             if size <= R and invariants(Cube(*cubes[r]))[1:] == (m, n)}
+    assert len(inner) == 8
+    assert len({canonical(Cube(*cubes[r])) for r in inner}) == 4
+    result = orbit_count_oracle(D, m, n)
+    assert (result.count, result.stable) == (16, True) and B(D, m, n) == 16
 
 
 def test_oracle_rejects_negative_box():
@@ -423,7 +491,9 @@ def test_oracle_matches_formula_on_sample_cells():
 
 def test_oracle_frozen_counts():
     # every field frozen from the per-cube enumeration that preceded the
-    # chains (and the counts confirmed by the formula where stable)
+    # chains, except count and stable of (-15, 1, 1, 2, 1), (9, 1, 1, 1, 0)
+    # and the two D = -188 cells, recorded with the canonical forms; the
+    # D = -188 cells have union-find components that join only outside the box
     frozen = {
         (5, 1, 1, None, 5): (4, True, 8, 5, 16832),
         (45, 3, 3, None, 5): (16, True, 14, 5, 34848),
@@ -434,22 +504,47 @@ def test_oracle_frozen_counts():
         (12, 2, 1, None, 5): (4, True, 10, 5, 13008),
         (-15, 2, 1, None, 5): (8, True, 11, 5, 28288),
         (5, 1, 2, None, 5): (0, True, 9, 5, 0),
-        (-15, 1, 1, 2, 1): (8, False, 2, 1, 800),
-        (9, 1, 1, 1, 0): (24, False, 1, 0, 432),
+        (-15, 1, 1, 2, 1): (4, True, 2, 1, 800),
+        (9, 1, 1, 1, 0): (4, True, 1, 0, 432),
         (-4, 1, 1, 0, 5): (0, False, 0, 5, 2760),
-        # components that merge only far out: at slack 10 (-188, 9, 9) counts 16 = B.
-        # The canonical orbit forms for D < 0 (ROADMAP) count 16 and 64 = B here,
-        # and will re-record these two cells with stable = False.
-        (-188, 9, 9, None, 5): (32, True, 28, 5, 30480),
-        (-188, 6, 8, 60, 5): (72, True, 60, 5, 519520),
+        (-188, 9, 9, None, 5): (16, True, 28, 5, 30480),
+        (-188, 6, 8, 60, 5): (64, True, 60, 5, 519520),
     }
     for (D, m, n, entry_bound, slack), fields in frozen.items():
         assert orbit_count_oracle(D, m, n, entry_bound, slack) == OracleCount(*fields), (D, m, n)
+        if fields[1]:
+            assert fields[0] == B(D, m, n), (D, m, n)
+
+
+# The 56 cells of the sweep |D| <= 200, 1 <= m <= n <= 10 (default box) on
+# which the oracle's earlier rule, union-find components counted at two
+# radii, gave a count other than B.  Every one was an over-count.
+TWO_RADIUS_MISMATCHES = (
+    (-200, 6, 9), (-199, 7, 8), (-199, 10, 10), (-188, 6, 8), (-188, 9, 9), (-180, 9, 10),
+    (-176, 8, 10), (-175, 10, 10), (-167, 8, 9), (-159, 7, 10), (-156, 8, 10), (-144, 10, 10),
+    (-140, 9, 9), (-140, 9, 10), (-135, 9, 10), (-128, 6, 9), (-111, 6, 10), (-111, 7, 10),
+    (-96, 6, 10), (-95, 9, 10), (-92, 6, 8), (-92, 8, 9), (-83, 9, 9), (-72, 9, 9),
+    (-71, 9, 10), (-64, 8, 10), (-56, 6, 9), (-15, 8, 10), (4, 7, 10), (4, 8, 9), (9, 7, 10),
+    (9, 9, 10), (13, 9, 9), (25, 10, 10), (36, 7, 9), (36, 8, 10), (36, 9, 10), (44, 7, 10),
+    (49, 8, 10), (49, 9, 10), (64, 8, 10), (84, 6, 10), (85, 9, 9), (89, 10, 10), (92, 7, 7),
+    (121, 7, 10), (136, 9, 10), (144, 7, 10), (144, 8, 10), (169, 7, 8), (169, 8, 10),
+    (176, 10, 10), (177, 7, 8), (180, 9, 10), (184, 9, 9), (200, 7, 10),
+)
+
+
+def test_oracle_is_exact_where_two_radii_over_counted():
+    assert len(set(TWO_RADIUS_MISMATCHES)) == 56
+    for D, m, n in TWO_RADIUS_MISMATCHES:
+        result = orbit_count_oracle(D, m, n)
+        assert result.stable and result.count == B(D, m, n), (D, m, n, result)
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: orbit_count_oracle(5, 0, 1), DomainError, "oracle requires nonzero m and n"),
-], ids=["orbit_count_oracle"])
+    # D = 0 with m = n = 1
+    (lambda: canonical(Cube(1, 0, 0, 1, 0, 0, 1, 0)), DomainError,
+     "canonical form requires nonzero D, m and n"),
+], ids=["orbit_count_oracle", "canonical"])
 def test_out_of_domain_inputs_raise_with_their_message(call, error, message):
     with pytest.raises(error) as info:
         call()
