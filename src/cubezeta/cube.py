@@ -217,12 +217,12 @@ def canonical(A: Cube) -> Cube:
     least image under ``_SMALL_SL2`` that keeps (|v1|^2, |v2|^2) is the
     form.  Raises DomainError unless D, m and n are nonzero.
     """
-    D, m, n = invariants(A)
-    if D * m * n == 0:
+    q1, q2 = form1(A), form2(A)  # a factor-1 shear keeps Q_2
+    m, n = q1.a, q2.a
+    if q1.discriminant() * m * n == 0:
         raise DomainError("canonical form requires nonzero D, m and n")
-    b1, b2 = form1(A).b, form2(A).b  # a factor-1 shear keeps Q_2
-    A = _act(1, ((1, 0), ((b1 - b1 % (2 * abs(m))) // (2 * m), 1)), A)
-    A = _act(2, ((1, 0), ((b2 - b2 % (2 * abs(n))) // (2 * n), 1)), A)
+    A = _act(1, ((1, 0), ((q1.b - q1.b % (2 * abs(m))) // (2 * m), 1)), A)
+    A = _act(2, ((1, 0), ((q2.b - q2.b % (2 * abs(n))) // (2 * n), 1)), A)
     v1, v2 = (A.a, A.e, A.b, A.f), (A.c, A.g, A.d, A.h)
     n1, n2 = _dot(v1, v1), _dot(v2, v2)
     while True:
