@@ -1,5 +1,6 @@
 """Cube invariants, the group action, and the orbit-count oracle."""
 
+import hashlib
 import math
 import pickle
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cubezeta.congruence import RangeError, sqrt_count_direct
+from cubezeta.congruence import RangeError, is_discriminant, sqrt_count_direct
 from cubezeta.cube import (
     BinaryQuadraticForm,
     Cube,
@@ -537,6 +538,34 @@ def test_oracle_is_exact_where_two_radii_over_counted():
     for D, m, n in TWO_RADIUS_MISMATCHES:
         result = orbit_count_oracle(D, m, n)
         assert result.stable and result.count == B(D, m, n), (D, m, n, result)
+
+
+def oracle_digest_cases():
+    """The 900 criterion-1 cells at the default box, then every |D| <= 40,
+    1 <= m <= n <= 3 at entry bounds 0-4 and slacks 0, 1 and 5: 4,500 calls."""
+    for D in range(-60, 61):
+        for m in range(1, 6):
+            for n in range(m, 6):
+                if is_discriminant(D):
+                    yield D, m, n, None, 5
+    for D in range(-40, 41):
+        for m in range(1, 4):
+            for n in range(m, 4):
+                for entry_bound in range(5):
+                    for slack in (0, 1, 5):
+                        if is_discriminant(D):
+                            yield D, m, n, entry_bound, slack
+
+
+def test_oracle_counts_keep_their_digest():
+    # recorded from the union-find oracle before its chains were named by
+    # normal keys; pins cubes_enumerated, which criterion 1 does not read
+    digest, calls = hashlib.sha256(), 0
+    for case in oracle_digest_cases():
+        digest.update(repr(tuple(orbit_count_oracle(*case))).encode() + b"\n")
+        calls += 1
+    want = "e48cf305935fae7dd48c5fe4b4c20d82fb5712e67bd2e04d09716b56d0f6b58e"
+    assert (calls, digest.hexdigest()) == (4500, want)
 
 
 @pytest.mark.parametrize("call, error, message", [
