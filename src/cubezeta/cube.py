@@ -37,11 +37,12 @@ the other moves.  All three keep D, |m|, |n| and every |entry|, so only the
 part with a, d, g > 0 is enumerated and each of its orbits stands for four.
 The third shear (b, e, f) += k*(d, g, h) commutes with both lower shears,
 so the enumeration yields its orbits (chains), each named by (x, h, e) with
-the run of k in each box.  One union-find pass per divisor a joins each
-chain to its neighbours under the lower shears, and ``canonical`` of one
-cube per component tells which components are one orbit, since two can
-join only through cubes outside the box.  The oracle moves the chain names
-by formulas of its own: they are its hot loop.
+the run of k in each box.  The lower shears move chain (x, h, e) to
+(x, h + g, e) and to (x - 2m, h + d, (e + a) mod g), so all chains of one
+normal key (x - 2m*j, (h + d*j) mod g, (e + a*j) mod g) with j = x // 2m
+lie in one orbit, and ``canonical`` of one cube per key tells which keys are
+one orbit.  The oracle takes the keys by formulas of its own: they are its
+hot loop.
 """
 
 from __future__ import annotations
@@ -297,7 +298,7 @@ def _slice_roots(D: int, m: int, n: int) -> list[int]:
 
 
 def _slice_enumerate(D: int, m: int, n: int, R: int, slack: int, roots):
-    """Third-shear chains of the cubes with c = 0 and a, d, g > 0, by divisor a.
+    """Normal keys of the third-shear chains of the cubes with c = 0 and a, d, g > 0.
 
     Covers the cubes with |m| = m, |n| = n and discriminant D; the sign flips
     of (b, d, f, h) and of (e, f, g, h) keep D, |m|, |n| and |entries| and
@@ -306,11 +307,12 @@ def _slice_enumerate(D: int, m: int, n: int, R: int, slack: int, roots):
     chain (x, h, e) has at k = 0 the cube with 0 <= e < g,
     b = (x + a*h + d*e) / g and f = (e*h - (x*x - D) / (4m)) / g.  Each entry
     is affine in k, so the k whose cube has all entries <= rho form one
-    interval (lo, hi), empty when lo > hi: inner and outer are these for
-    rho = R and R + slack + 1.  For each divisor a of gcd(m, n) with d = m / a
-    and g = n / a in the box, yields (a, d, g, index, spans): index maps the
-    key of each chain with a nonempty outer interval to its number i, and
-    spans[i] = (inner_lo, inner_hi, outer_lo, outer_hi).
+    interval, empty when lo > hi; the inner and outer boxes have rho = R and
+    R + slack + 1.  With j = x // 2m, the chain's normal key is
+    (x - 2m*j, (h + d*j) mod g, (e + a*j) mod g).  For each divisor a of
+    gcd(m, n) with d = m / a and g = n / a in the box, yields
+    (a, d, g, inner, outer, cubes): the normal keys of the chains that meet
+    the inner and the outer box, and the number of cubes in the outer box.
 
     Walks the Diophantine structure of the slice: a*d = m, a*g = n, and x
     runs over the classes mod 4m of ``roots`` from ``_slice_roots``.  Given
@@ -332,10 +334,12 @@ def _slice_enumerate(D: int, m: int, n: int, R: int, slack: int, roots):
         e_unit = -pow(d // gamma, -1, g1)
         w_max = rho * (d + g)
         x_max = w_max + a * rho
-        index, spans = {}, []
+        inner, outer, cubes = set(), set(), 0
         for r in roots:
             for x in range(r - 4 * m * ((r + x_max) // (4 * m)), x_max + 1, 4 * m):
                 s = (x * x - D) // (4 * m)
+                j = x // (2 * m)
+                x0, dj, aj = x - 2 * m * j, d * j, a * j
                 band = -(-abs(s) // rho) - g
                 h_lo = max(-rho, -((w_max + x) // a))
                 h_hi = min(rho, (w_max - x) // a)
@@ -347,6 +351,7 @@ def _slice_enumerate(D: int, m: int, n: int, R: int, slack: int, roots):
                     w = x + a * h
                     if w % gamma:
                         continue
+                    hj = (h + dj) % g
                     for e in range((w // gamma) * e_unit % g1, g, g1):
                         num = e * h - s
                         if num % g:
@@ -363,22 +368,16 @@ def _slice_enumerate(D: int, m: int, n: int, R: int, slack: int, roots):
                         hi = u if u < v and u < t else v if v < t else t
                         if lo > hi:
                             continue
-                        i_lo, i_hi = 1, 0
-                        if (abs(h) if h else abs(f)) <= R and adg <= R:
+                        cubes += hi - lo + 1
+                        key = (x0, hj, (e + aj) % g)
+                        outer.add(key)
+                        if key not in inner and (abs(h) if h else abs(f)) <= R and adg <= R:
                             u, v, t = (R + b) // d, (R + e) // g, (R + fh) // hh
-                            i_lo = -(u if u < v and u < t else v if v < t else t)
+                            lo = -(u if u < v and u < t else v if v < t else t)
                             u, v, t = (R - b) // d, (R - e) // g, (R - fh) // hh
-                            i_hi = u if u < v and u < t else v if v < t else t
-                        index[x, h, e] = len(spans)
-                        spans.append((i_lo, i_hi, lo, hi))
-        yield a, d, g, index, spans
-
-
-def _find(parent: list[int], i: int) -> int:
-    """Root of i in the union-find forest, halving the path on the way."""
-    while parent[i] != i:
-        parent[i] = i = parent[parent[i]]
-    return i
+                            if lo <= (u if u < v and u < t else v if v < t else t):
+                                inner.add(key)
+        yield a, d, g, inner, outer, cubes
 
 
 def orbit_count_oracle(
@@ -390,23 +389,20 @@ def orbit_count_oracle(
     part of the c = 0 slice with a, d, g > 0 inside a box of radius
     R + slack + 1 (R = entry_bound) as third-shear chains
     (``_slice_enumerate``).  The lower shears keep a, d and g and commute
-    with the third shear, so each divisor a has its own union-find, and the
-    k = +1 move of the second shear takes the cube of chain (x, h, e) at k to
-    chain (x, h + g, e) at k, that of the first, reduced by the third shear,
-    to (x - 2m, h + d, (e + a) mod g) at k + (e + a) // g.  Each move links
-    the two chains at every k, so one pass joins every chain to those of its
-    two neighbour keys that the box holds, and every component lies in one
-    orbit.  One ``canonical`` form per component, taken at its root, names
-    its orbit.  The two sign flips give four orbits in the a > 0 half for
-    each form, and negation adds the a < 0 half to the same orbits, so
-    ``count`` is four times the number of forms of the components that meet
-    the inner box of radius R.  The count is stable when these are the forms
-    of all components, so no orbit of the outer box misses the inner one,
-    and the inner box holds a cube.  An empty inner box is stable only when
-    no cube has these invariants at all, i.e. when D is no square mod 4m or
-    mod 4n (then B = 0).  ``cubes_enumerated`` counts the whole slice in the
-    box.  Raises RangeError before any enumeration when 4(m + n) or the box's
-    (x, h) steps, the sum over its divisors a of
+    with the third shear: the k = +1 move of the second shear takes chain
+    (x, h, e) to (x, h + g, e), that of the first, reduced by the third
+    shear, to (x - 2m, h + d, (e + a) mod g).  Both keep the chain's normal
+    key, so the chains of one key lie in one orbit, and one ``canonical``
+    form per key of the outer box names its orbit.  The two sign flips give
+    four orbits in the a > 0 half for each form, and negation adds the a < 0
+    half to the same orbits, so ``count`` is four times the number of forms
+    of the keys that meet the inner box of radius R.  The count is stable
+    when these are the forms of all keys, so no orbit of the outer box misses
+    the inner one, and the inner box holds a cube.  An empty inner box is
+    stable only when no cube has these invariants at all, i.e. when D is no
+    square mod 4m or mod 4n (then B = 0).  ``cubes_enumerated`` counts the
+    whole slice in the box.  Raises RangeError before any enumeration when
+    4(m + n) or the box's (x, h) steps, the sum over its divisors a of
     |roots| * (2*x_max // (4m) + 1) * (2*rho + 1), exceed ``_ORACLE_CAP``.
     """
     m, n = abs(m), abs(n)
@@ -419,26 +415,20 @@ def orbit_count_oracle(
     R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
     roots = _slice_roots(D, m, n)
     rho = R + slack + 1
+    boxed = [a for a in divisors(math.gcd(m, n)) if max(a, m // a, n // a) <= rho]
     steps = sum(len(roots) * (2 * rho * (m // a + n // a + a) // (4 * m) + 1) * (2 * rho + 1)
-                for a in divisors(math.gcd(m, n)) if max(a, m // a, n // a) <= rho)
+                for a in boxed)
     if steps > _ORACLE_CAP:
         raise RangeError(f"oracle box needs about {steps:,} (x, h) steps, over {_ORACLE_CAP:,}")
     inner, every, enumerated = set(), set(), 0
-    for a, d, g, index, spans in _slice_enumerate(D, m, n, R, slack, roots):
-        parent = list(range(len(spans)))
-        for i, (x, h, e) in enumerate(index):
-            for j in (index.get((x, h + g, e)), index.get((x - 2 * m, h + d, (e + a) % g))):
-                if j is not None:
-                    parent[_find(parent, i)] = _find(parent, j)
-        form = {}
-        for r, (x, h, e) in enumerate(index):
-            if parent[r] == r:
-                f = (e * h - (x * x - D) // (4 * m)) // g
-                form[r] = canonical(Cube(a, (x + a * h + d * e) // g, 0, d, e, f, g, h))
+    for a, d, g, inner_keys, outer_keys, cubes in _slice_enumerate(D, m, n, R, slack, roots):
+        form = {(x, h, e): canonical(Cube(a, (x + a * h + d * e) // g, 0, d, e,
+                                          (e * h - (x * x - D) // (4 * m)) // g, g, h))
+                for x, h, e in outer_keys}
         every.update(form.values())
-        inner.update(form[_find(parent, i)] for i, span in enumerate(spans) if span[0] <= span[1])
-        enumerated += sum(hi - lo + 1 for _, _, lo, hi in spans)
+        inner.update(form[key] for key in inner_keys)
+        enumerated += cubes
     # the two sign flips and negation make four orbits of each form and eight
     # copies of each enumerated cube
-    return OracleCount(4 * len(inner), inner == every and (bool(inner) or not roots),
-                       R, slack, 8 * enumerated)
+    stable = inner == every and (bool(inner) or not roots)
+    return OracleCount(4 * len(inner), stable, R, slack, 8 * enumerated)

@@ -1,6 +1,7 @@
 """Cube invariants, the group action, and the orbit-count oracle."""
 
 import hashlib
+import itertools
 import math
 import pickle
 import random
@@ -285,31 +286,43 @@ def literal_slice_scan(D, m, n, R):
     return found
 
 
-def chain_records(D, m, n, R, slack):
-    """(rep, inner, outer, key) of each chain of ``_slice_enumerate``.
+def half_slice(D, m, n, rho):
+    """The cubes (a, b, 0, d, e, f, g, h) with a, d, g > 0, invariants (D, m, n)
+    and every |entry| <= rho.
 
-    The representative (a, b, 0, d, e, f, g, h) is rebuilt from the key
-    (x, h, e): b = (x + a*h + d*e) / g and f = (e*h - (x*x - D) / (4m)) / g,
-    both divisions exact.
+    Scans (b, e, h) for each divisor pair a*d = m, a*g = n and solves f from
+    D = x^2 - 4m(eh - fg) with x = bg - de - ah; it reads no oracle code.
     """
-    records = []
-    for a, d, g, index, spans in _slice_enumerate(D, m, n, R, slack, _slice_roots(D, m, n)):
-        for (x, h, e), i in index.items():
-            b, rb = divmod(x + a * h + d * e, g)
-            s, rs = divmod(x * x - D, 4 * m)
-            f, rf = divmod(e * h - s, g)
-            assert rb == rs == rf == 0, (a, x, h, e)
-            i_lo, i_hi, o_lo, o_hi = spans[i]
-            rep = (a, b, 0, d, e, f, g, h)
-            records.append((rep, (i_lo, i_hi), (o_lo, o_hi), (x, h, e)))
-    return records
+    found = []
+    for a in range(1, rho + 1):
+        if m % a or n % a or max(m // a, n // a) > rho:
+            continue
+        d, g = m // a, n // a
+        for b, e, h in itertools.product(range(-rho, rho + 1), repeat=3):
+            x = b * g - d * e - a * h
+            f, r = divmod(D - x * x + 4 * m * e * h, 4 * m * g)
+            if r == 0 and abs(f) <= rho:
+                found.append((a, b, 0, d, e, f, g, h))
+    return found
 
 
-def expand(chain, k_range=None):
-    """The cubes rep + k*(0, d, 0, 0, g, h, 0, 0) of a chain, for k in its outer interval."""
-    (a, b, _, d, e, f, g, h), _, (lo, hi), _ = chain
-    ks = range(lo, hi + 1) if k_range is None else k_range
-    return [(a, b + k * d, 0, d, e + k * g, f + k * h, g, h) for k in ks]
+def normal_key(cube, m):
+    """(x - 2m*j, (h + d*j) mod g, (e + a*j) mod g) with x = Q_1.b and j = x // 2m."""
+    a, _, _, d, e, _, g, h = cube
+    x = form1(Cube(*cube)).b
+    j = x // (2 * m)
+    return x - 2 * m * j, (h + d * j) % g, (e + a * j) % g
+
+
+def key_cube(a, d, g, key, D, m):
+    """The cube of chain (x, h, e) at k = 0: b = (x + a*h + d*e) / g and
+    f = (e*h - (x*x - D) / (4m)) / g, both divisions exact."""
+    x, h, e = key
+    b, rb = divmod(x + a * h + d * e, g)
+    s, rs = divmod(x * x - D, 4 * m)
+    f, rf = divmod(e * h - s, g)
+    assert rb == rs == rf == 0, (a, key)
+    return Cube(a, b, 0, d, e, f, g, h)
 
 
 def with_sign_flips(cubes):
@@ -319,26 +332,29 @@ def with_sign_flips(cubes):
     return [tuple(v * s for v, s in zip(c, sign)) for c in cubes for sign in signs]
 
 
+SMALL_BOXES = ((5, 1, 1, 3), (45, 3, 3, 4), (-4, 1, 1, 3), (12, 2, 1, 3), (5, 1, 2, 3))
+
+
 def test_slice_enumeration_is_complete_in_small_boxes():
-    boxes = ((5, 1, 1, 3), (45, 3, 3, 4), (-4, 1, 1, 3), (12, 2, 1, 3), (5, 1, 2, 3))
-    for D, m, n, R in boxes:
-        # radii R - 2 and R for the inner and outer intervals
-        chains = chain_records(D, m, n, R - 2, 1)
-        produced = with_sign_flips(c for chain in chains for c in expand(chain))
-        # every cube of the a > 0 half lies in exactly one chain (or one flip of it)
-        assert len(set(produced)) == len(produced), (D, m, n, R)
+    for D, m, n, R in SMALL_BOXES:
         literal = literal_slice_scan(D, m, n, R)
         # negation pairs the a > 0 half with the rest
         assert literal == {tuple(-v for v in c) for c in literal}, (D, m, n, R)
-        assert set(produced) == {c for c in literal if c[0] > 0}, (D, m, n, R)
-        for chain in chains:
-            (a, _, _, d, e, _, g, _), *spans, _ = chain
-            assert a > 0 and d > 0 and 0 <= e < g, chain
-            # each interval is exactly the k whose cube has all entries <= its radius
-            window = range(spans[1][0] - 3 * R, spans[1][1] + 3 * R + 1)
-            for (lo, hi), radius in zip(spans, (R - 2, R)):
-                within = [max(map(abs, c)) <= radius for c in expand(chain, window)]
-                assert within == [lo <= k <= hi for k in window], (chain, radius)
+        half = [c for c in literal if c[0] > 0 and c[3] > 0 and c[6] > 0]
+        assert sorted(half_slice(D, m, n, R)) == sorted(half), (D, m, n, R)
+        # the sign flips of the a, d, g > 0 part give the a > 0 half exactly once
+        assert sorted(with_sign_flips(half)) == sorted(c for c in literal if c[0] > 0)
+        enumerated = 0
+        # radii R - 2 and R for the inner and outer boxes
+        for a, d, g, inner, outer, cubes in _slice_enumerate(D, m, n, R - 2, 1,
+                                                             _slice_roots(D, m, n)):
+            mine = [c for c in half if (c[0], c[3], c[6]) == (a, d, g)]
+            assert outer == {normal_key(c, m) for c in mine}, (D, m, n, a)
+            assert inner == {normal_key(c, m) for c in mine if max(map(abs, c)) <= R - 2}
+            assert all(0 <= x < 2 * m and 0 <= h < g and 0 <= e < g for x, h, e in outer)
+            assert cubes == len(mine), (D, m, n, a)
+            enumerated += cubes
+        assert 8 * enumerated == len(literal), (D, m, n, R)
     # the last box is empty: 5 is a square mod 4m = 4 but not mod 4n = 8, and
     # the second form has leading coefficient a*g = +-n and discriminant D
     assert literal_slice_scan(5, 1, 2, 3) == set()
@@ -347,29 +363,36 @@ def test_slice_enumeration_is_complete_in_small_boxes():
 
 
 def test_chain_keys_follow_the_group_action():
-    """The oracle's neighbour keys and offsets, written as it takes them, against ``act``."""
-    boxes = ((5, 1, 1, 3), (45, 3, 3, 4), (-4, 1, 1, 3), (12, 2, 1, 3), (5, 1, 2, 3))
+    """Both lower shears and the third shear keep the normal key, through ``act``."""
     checked = 0
-    for D, m, n, R in boxes:
-        for rep, *_, (lo, hi), (x, h, e) in chain_records(D, m, n, R - 2, 1):
-            a, _, _, d, _, _, g, _ = rep
-            A = Cube(*rep)
-            assert form1(A).b == x
-            q1, e1 = divmod(e + a, g)
+    for D, m, n, R in SMALL_BOXES:
+        outer = {a: keys for a, _, _, _, keys, _ in
+                 _slice_enumerate(D, m, n, R - 2, 1, _slice_roots(D, m, n))}
+        for cube in half_slice(D, m, n, R):
+            a, _, _, d, _, _, g, _ = cube
+            key = normal_key(cube, m)
+            assert key in outer[a] and normal_key(key_cube(a, d, g, key, D, m), m) == key
+            # the cube's chain at k = 0: the third shear brings e into [0, g)
+            A = act(sl2(1, -(cube[4] // g), 0, 1), Cube(*cube))
+            x, h, e = form1(A).b, A.h, A.e
             # the second shear keeps e; after the first, the third shear by -q
             # brings e back into [0, g)
             image = act(shear1(1), A)
             q = image.e // g
-            moves = ((shear2(1), act(shear2(1), A), 0, (x, h + g, e), 0),
-                     (shear1(1), act(sl2(1, -q, 0, 1), image), q, (x - 2 * m, h + d, e1), q1))
-            for move, moved, offset, key, oracle_offset in moves:
-                assert 0 <= moved.e < g, (rep, moved)
-                assert ((form1(moved).b, moved.h, moved.e), offset) == (key, oracle_offset)
-                # the move takes the chain's cube at k to the neighbour's cube at k + offset
-                for k in (lo, hi):
+            moves = ((shear2(1), act(shear2(1), A), 0, (x, h + g, e)),
+                     (shear1(1), act(sl2(1, -q, 0, 1), image), q, (x - 2 * m, h + d, (e + a) % g)))
+            for move, moved, offset, chain in moves:
+                assert 0 <= moved.e < g, (cube, moved)
+                assert (form1(moved).b, moved.h, moved.e) == chain, (cube, move)
+                assert normal_key(moved, m) == key, (cube, move)
+                # the move takes the chain's cube at k to the moved chain's cube at k + offset
+                for k in (-1, 0, 1):
                     at_k = act(sl2(1, k, 0, 1), A)
-                    assert act(move, at_k) == act(sl2(1, k + offset, 0, 1), moved), (rep, k)
-                checked += 1
+                    assert normal_key(at_k, m) == key, (cube, k)
+                    assert act(move, at_k) == act(sl2(1, k + offset, 0, 1), moved), (cube, k)
+            for inverse in (shear1(-1), shear2(-1)):
+                assert normal_key(act(inverse, A), m) == key, (cube, inverse)
+            checked += 1
     assert checked > 100
 
 
@@ -381,9 +404,7 @@ def box_graph(D, m, n, R, slack):
     8-tuples with explicit neighbour tuples and joined by one union-find pass
     over its edges; root[i] is the component of cubes[i].
     """
-    chains = chain_records(D, m, n, R, slack)
-    half = with_sign_flips(c for chain in chains for c in expand(chain))
-    # the set makes cubes_enumerated differ from the oracle's if a cube repeats
+    half = with_sign_flips(half_slice(D, m, n, R + slack + 1))
     cubes = sorted(set(half) | {tuple(-v for v in c) for c in half})
     index_of = {cube: i for i, cube in enumerate(cubes)}
     parent = list(range(len(cubes)))
