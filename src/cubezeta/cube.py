@@ -400,8 +400,12 @@ def orbit_count_oracle(
     when these are the forms of all keys, so no orbit of the outer box misses
     the inner one, and the inner box holds a cube.  An empty inner box is
     stable only when no cube has these invariants at all, i.e. when D is no
-    square mod 4m or mod 4n (then B = 0).  ``cubes_enumerated`` counts the
-    whole slice in the box.  Raises RangeError before any enumeration when
+    square mod 4m or mod 4n (then B = 0).  When D is a square mod 4m and
+    mod 4n, the count is also unstable if some divisor a of gcd(m, n) has
+    max(a, m/a, n/a) > R + slack + 1, as the box then skips that divisor's
+    cubes; this is conservative, since the skipped divisor may have no cube
+    with these invariants.  ``cubes_enumerated`` counts the whole slice in
+    the box.  Raises RangeError before any enumeration when
     4(m + n) or the box's (x, h) steps, the sum over its divisors a of
     |roots| * (2*x_max // (4m) + 1) * (2*rho + 1), exceed ``_ORACLE_CAP``.
     """
@@ -415,7 +419,8 @@ def orbit_count_oracle(
     R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
     roots = _slice_roots(D, m, n)
     rho = R + slack + 1
-    boxed = [a for a in divisors(math.gcd(m, n)) if max(a, m // a, n // a) <= rho]
+    divs = divisors(math.gcd(m, n))
+    boxed = [a for a in divs if max(a, m // a, n // a) <= rho]
     steps = sum(len(roots) * (2 * rho * (m // a + n // a + a) // (4 * m) + 1) * (2 * rho + 1)
                 for a in boxed)
     if steps > _ORACLE_CAP:
@@ -430,5 +435,5 @@ def orbit_count_oracle(
         enumerated += cubes
     # the two sign flips and negation make four orbits of each form and eight
     # copies of each enumerated cube
-    stable = inner == every and (bool(inner) or not roots)
+    stable = inner == every and (not roots or bool(inner) and len(boxed) == len(divs))
     return OracleCount(4 * len(inner), stable, R, slack, 8 * enumerated)

@@ -74,14 +74,23 @@ def test_orbits_with_oracle(capsys):
 
 
 def test_orbits_oracle_honours_slack_zero(capsys):
-    # the inner box of radius 2 misses the divisor a = 1 of (m, n) = (2, 4), whose
-    # g = 4 lies outside the outer box of radius 3 at slack 0 but inside it at the
-    # default slack 5, so only the default flags the count
-    argv = ("orbits", "--D", "9", "--m", "2", "--n", "4", "--oracle", "--entry-bound", "2")
+    # the divisor a = 1 of (m, n) = (2, 4) has g = 4, outside the outer box of
+    # radius 3 at slack 0 but inside that of radius 8 at the default slack 5, so
+    # only slack 0 flags the count, although it skips no orbit of this cell
+    argv = ("orbits", "--D", "-12", "--m", "2", "--n", "4", "--oracle", "--entry-bound", "2")
     code, out, _ = run(capsys, *argv, "--slack", "0")
     assert code == 1
-    assert out.splitlines() == ["B = 16", "oracle = 8", "stable = true", "agree = false"]
+    assert out.splitlines() == ["B = 8", "oracle = 8", "stable = false", "agree = true"]
     code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == ["B = 8", "oracle = 8", "stable = true", "agree = true"]
+
+
+def test_orbits_oracle_is_unstable_when_the_box_skips_a_divisor(capsys):
+    # the box of radius 3 skips the divisor a = 1 (g = 4), whose orbits make up
+    # half of B = 16; the count of the divisor a = 2 alone is not called stable
+    code, out, _ = run(capsys, "orbits", "--D", "9", "--m", "2", "--n", "4", "--oracle",
+                       "--entry-bound", "2", "--slack", "0")
     assert code == 1
     assert out.splitlines() == ["B = 16", "oracle = 8", "stable = false", "agree = false"]
 

@@ -561,6 +561,20 @@ def test_oracle_is_exact_where_two_radii_over_counted():
         assert result.stable and result.count == B(D, m, n), (D, m, n, result)
 
 
+def test_oracle_is_unstable_when_the_box_skips_a_divisor():
+    # a box of radius R + slack + 1 below max(a, m/a, n/a) skips the cubes of
+    # divisor a; at (2, 4) and (4, 4) that made 48 wrong counts stable
+    for D in range(-80, 81):
+        if not is_discriminant(D):
+            continue
+        for m, n in ((2, 4), (4, 4)):
+            for entry_bound in range(7):
+                for slack in (0, 5):
+                    result = orbit_count_oracle(D, m, n, entry_bound, slack)
+                    if result.stable:
+                        assert result.count == B(D, m, n), (D, m, n, entry_bound, slack)
+
+
 def oracle_digest_cases():
     """The 900 criterion-1 cells at the default box, then every |D| <= 40,
     1 <= m <= n <= 3 at entry bounds 0-4 and slacks 0, 1 and 5: 4,500 calls."""
