@@ -2,9 +2,9 @@
 """Compare the orbit-count formula against brute-force enumeration on a grid.
 
 Enumerates, for each cell (D, m, n), the c = 0 slice of integer cubes with
-bounded entries whose invariants match, joins them by union-find and counts
-the canonical orbit forms of the components (orbit_count_oracle), and
-compares that count against B(D, m, n).  Prints each unstable cell, each
+bounded entries whose invariants match, names their third-shear chains by
+lower-shear normal keys and counts the canonical orbit forms of the keys
+(orbit_count_oracle), and compares that count against B(D, m, n).  Prints each unstable cell, each
 mismatch and a one-line summary with the number of cubes enumerated; exit 1
 on a mismatch or an unstable cell, and exit 2 with the oracle's estimate
 when a cell's box is above its work cap.

@@ -26,7 +26,8 @@ picks one of them.
 
 The orbit oracle counts, by explicit enumeration, the orbits of cubes with
 given (D, |m|, |n|) -- all four sign classes together -- and reports a
-stability flag (every orbit that the outer box reaches meets the inner box).
+stability flag (every orbit that the outer box reaches meets the inner box,
+and the box skips no divisor).
 Enumeration works on the c = 0 slice: every orbit with m, n != 0 has a
 representative there.  The slice-preserving moves are the two
 lower-unipotent shears, the upper shear in the third factor, and global
@@ -405,8 +406,8 @@ def orbit_count_oracle(
     max(a, m/a, n/a) > R + slack + 1, as the box then skips that divisor's
     cubes; this is conservative, since the skipped divisor may have no cube
     with these invariants.  ``cubes_enumerated`` counts the whole slice in
-    the box.  Raises RangeError before any enumeration when
-    4(m + n) or the box's (x, h) steps, the sum over its divisors a of
+    the box.  Raises RangeError before any enumeration when 4(m + n) or the
+    box's (x, h) steps, the sum over its divisors a of
     |roots| * (2*x_max // (4m) + 1) * (2*rho + 1), exceed ``_ORACLE_CAP``.
     """
     m, n = abs(m), abs(n)
