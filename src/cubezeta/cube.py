@@ -374,9 +374,9 @@ def _slice_enumerate(D: int, m: int, n: int, R: int, slack: int, roots):
                         outer.add(key)
                         if key not in inner and (abs(h) if h else abs(f)) <= R and adg <= R:
                             u, v, t = (R + b) // d, (R + e) // g, (R + fh) // hh
-                            lo = -(u if u < v and u < t else v if v < t else t)
+                            i_lo = -(u if u < v and u < t else v if v < t else t)
                             u, v, t = (R - b) // d, (R - e) // g, (R - fh) // hh
-                            if lo <= (u if u < v and u < t else v if v < t else t):
+                            if i_lo <= (u if u < v and u < t else v if v < t else t):
                                 inner.add(key)
         yield a, d, g, inner, outer, cubes
 
@@ -436,5 +436,5 @@ def orbit_count_oracle(
         enumerated += cubes
     # the two sign flips and negation make four orbits of each form and eight
     # copies of each enumerated cube
-    stable = inner == every and (not roots or bool(inner) and len(boxed) == len(divs))
+    stable = inner == every and (not roots or (bool(inner) and len(boxed) == len(divs)))
     return OracleCount(4 * len(inner), stable, R, slack, 8 * enumerated)

@@ -400,7 +400,7 @@ def box_graph(D, m, n, R, slack):
     """(cubes, maxabs, root) of the slice in the box of radius R + slack + 1.
 
     The move graph of the seven slice-preserving moves on the whole slice
-    (the expanded chains, their sign flips and their negations), built on
+    (``half_slice``, its sign flips and their negations), built on
     8-tuples with explicit neighbour tuples and joined by one union-find pass
     over its edges; root[i] is the component of cubes[i].
     """
@@ -563,10 +563,8 @@ def test_oracle_is_exact_where_two_radii_over_counted():
 
 def test_oracle_is_unstable_when_the_box_skips_a_divisor():
     # a box of radius R + slack + 1 below max(a, m/a, n/a) skips the cubes of
-    # divisor a; at (2, 4) and (4, 4) that made 48 wrong counts stable
-    for D in range(-80, 81):
-        if not is_discriminant(D):
-            continue
+    # divisor a; here 48 wrong counts were stable before that made them unstable
+    for D in filter(is_discriminant, range(-80, 81)):
         for m, n in ((2, 4), (4, 4)):
             for entry_bound in range(7):
                 for slack in (0, 5):
@@ -578,18 +576,16 @@ def test_oracle_is_unstable_when_the_box_skips_a_divisor():
 def oracle_digest_cases():
     """The 900 criterion-1 cells at the default box, then every |D| <= 40,
     1 <= m <= n <= 3 at entry bounds 0-4 and slacks 0, 1 and 5: 4,500 calls."""
-    for D in range(-60, 61):
+    for D in filter(is_discriminant, range(-60, 61)):
         for m in range(1, 6):
             for n in range(m, 6):
-                if is_discriminant(D):
-                    yield D, m, n, None, 5
-    for D in range(-40, 41):
+                yield D, m, n, None, 5
+    for D in filter(is_discriminant, range(-40, 41)):
         for m in range(1, 4):
             for n in range(m, 4):
                 for entry_bound in range(5):
                     for slack in (0, 1, 5):
-                        if is_discriminant(D):
-                            yield D, m, n, entry_bound, slack
+                        yield D, m, n, entry_bound, slack
 
 
 def test_oracle_counts_keep_their_digest():
