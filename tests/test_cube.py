@@ -437,7 +437,8 @@ def tuple_graph_oracle(D, m, n, entry_bound, slack):
     box of radius R, all four sign classes of (m, n) among them.  It is
     stable when those are the forms of all components, unless the inner box
     holds no cube although some cube has the invariants, i.e. D is a square
-    mod 4m and 4n.
+    mod 4m and 4n.  The oracle's skipped-divisor rule adds nothing on the
+    cells compared below: only R = 0, whose inner box is empty, skips one.
     """
     R = entry_bound if entry_bound is not None else default_entry_bound(D, m, n)
     cubes, maxabs, root = box_graph(D, m, n, R, slack)
